@@ -33,7 +33,6 @@ from .flow_ingest import (
     ActivityRecord,
     FeatureScaler,
     IpAttributeTable,
-    RequestContext,
     extract_context,
     fit_scaler,
     parse_activity_log,
@@ -75,7 +74,6 @@ __all__ = [
     "PolicyConfig",
     "ProtocolError",
     "Request",
-    "RequestContext",
     "SchemaError",
     "SessionOutcome",
     "Solution",

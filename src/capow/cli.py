@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 from . import pow_core, simulate, synthlog
+from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN
 from .errors import (
     ConfigError,
     CorruptLogError,
@@ -27,8 +28,8 @@ from .errors import (
     SchemaError,
 )
 from .persistence import load_bundle, save_bundle
-from .policy_engine import load_policy, map_difficulty, request_rng
-from .protocol import GateServer, Request, client_session
+from .policy_engine import load_policy
+from .protocol import DEFAULT_QUEUE_CAPACITY, GateServer, Request, client_session
 from .training import train_bundle
 
 logger = logging.getLogger(__name__)
@@ -69,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="activity log; repeat for more days (order sets the day index)")
     p.add_argument("--out", required=True, metavar="DIR", help="model bundle directory")
     p.add_argument("--ip-attributes", metavar="CSV", help="IP attribute table")
-    p.add_argument("--aging-window", type=int, default=5, metavar="DAYS",
+    p.add_argument("--aging-window", type=int, default=DEFAULT_AGING_WINDOW_DAYS, metavar="DAYS",
                    help="temporal model keeps only this many newest log days")
-    p.add_argument("--gap-merge", type=float, default=5.0, metavar="MIN",
+    p.add_argument("--gap-merge", type=float, default=DEFAULT_GAP_MERGE_MIN, metavar="MIN",
                    help="arrivals closer than this merge into one interval")
     p.add_argument("--dabr-delta-max", type=float, default=None, metavar="DIST",
                    help="IP-distance saturation; default is the unit-cube diagonal")
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", metavar="FILE", help=f"policy file (or ${POLICY_ENV})")
     p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                    help="bind address; port 0 picks a free port")
-    p.add_argument("--queue-capacity", type=int, default=1024)
+    p.add_argument("--queue-capacity", type=int, default=DEFAULT_QUEUE_CAPACITY)
     p.add_argument("--expiry-ms", type=int, default=pow_core.DEFAULT_EXPIRY_MS)
     p.set_defaults(func=cmd_serve)
 
@@ -229,15 +230,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    bundle = load_bundle(args.models)
-    policy = _policy_from(args)
+    gate = GateServer(load_bundle(args.models), _policy_from(args))
     request = _request_from_args(args)
-    gate = GateServer(bundle, policy)
-    score = gate.score_request(request)
-    rng = None
-    if policy.policy_kind == "error_range":
-        rng = request_rng(policy, request.user_id, request.arrival_min, request.flow_features)
-    difficulty = min(map_difficulty(policy, score.phi, rng), pow_core.MAX_DIFFICULTY)
+    score, difficulty = gate.price(request)
     if args.csv:
         print("user_id,alpha,beta,gamma,phi,deciding_model,difficulty")
         print(

@@ -1,11 +1,12 @@
 """Activity-log parsing and request context extraction.
 
-Turns CSV activity logs and live request descriptors into normalized
-``RequestContext`` values. The log format is a plain UTF-8 CSV with a
-header: ``user_id, timestamp, label`` plus at least one numeric flow
-column (an optional ``day`` column assigns rows to log days). All flow
-features are min-max scaled into the unit hypercube so every model
-downstream operates in a comparable Euclidean space.
+Turns CSV activity logs into ``ActivityRecord`` rows, and checks a live
+request's wire fields before they reach the models. The log format is a
+plain UTF-8 CSV with a header: ``user_id, timestamp, label`` plus at
+least one numeric flow column (an optional ``day`` column assigns rows
+to log days). All flow features are min-max scaled into the unit
+hypercube so every model downstream operates in a comparable Euclidean
+space.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -97,17 +99,6 @@ class FeatureScaler:
             else:
                 out.append(min(1.0, max(0.0, (x - lo) / (hi - lo))))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class RequestContext:
-    """Per-request context attribute set: IP, temporal, and flow groups."""
-
-    user_id: str
-    arrival_min: float
-    ip_attributes: tuple[float, ...]
-    flow_vector: tuple[float, ...]  # normalized to [0, 1] per dimension
-    raw: ActivityRecord | None = None
 
 
 def parse_activity_log(
@@ -221,19 +212,23 @@ def fit_scaler(records: Iterable[ActivityRecord]) -> FeatureScaler:
 
 
 def extract_context(
-    record: ActivityRecord,
+    user_id: str,
+    arrival_min: float,
+    flow_features: Sequence[float],
     scaler: FeatureScaler,
-    ip_embedder: IpEmbedder | None = None,
-) -> RequestContext:
-    """Build the normalized context attribute set for one request."""
-    embedder = ip_embedder or octet_embedding
-    return RequestContext(
-        user_id=record.user_id,
-        arrival_min=record.timestamp_min,
-        ip_attributes=tuple(embedder(record.user_id)),
-        flow_vector=scaler.transform(record.flow_features),
-        raw=record,
-    )
+    embedder: IpEmbedder | None = None,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Check one request's wire fields; return its IP attributes and scaled flow vector.
+
+    This is the only check a live request gets before scoring: it raises
+    :class:`SchemaError` for an arrival outside [0, 1440), a NaN or
+    infinite value, or a flow vector of the wrong length.
+    """
+    if not 0.0 <= arrival_min < MINUTES_PER_DAY:
+        raise SchemaError(f"arrival {arrival_min} outside [0, {MINUTES_PER_DAY})")
+    if not all(math.isfinite(x) for x in flow_features):
+        raise SchemaError("flow features must be finite")
+    return tuple((embedder or octet_embedding)(user_id)), scaler.transform(flow_features)
 
 
 def octet_embedding(user_id: str) -> tuple[float, ...]:

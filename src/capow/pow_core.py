@@ -57,7 +57,7 @@ class Challenge:
 
     def seed_digest(self) -> bytes:
         """Public handle for this challenge; solutions reference it on the wire."""
-        return hashlib.sha256(self.seed).digest()
+        return seed_digest(self.seed)
 
     def expired(self, now_ms: int) -> bool:
         return now_ms >= self.issue_ms + self.expiry_ms
@@ -72,15 +72,19 @@ class Solution:
     attempts: int
 
 
+def seed_digest(seed: bytes) -> bytes:
+    """The digest that names a challenge on the wire."""
+    return hashlib.sha256(seed).digest()
+
+
+def _puzzle_prefix(user_id: bytes, issue_ms: int, seed: bytes) -> bytes:
+    """Everything before the nonce; the user id is length-prefixed to keep fields unambiguous."""
+    return struct.pack(">I", len(user_id)) + user_id + struct.pack(">Q", issue_ms) + seed
+
+
 def pack_puzzle_input(user_id: bytes, issue_ms: int, seed: bytes, nonce: int) -> bytes:
-    """Byte-exact hash input; the user id is length-prefixed to keep fields unambiguous."""
-    return (
-        struct.pack(">I", len(user_id))
-        + user_id
-        + struct.pack(">Q", issue_ms)
-        + seed
-        + struct.pack(">Q", nonce)
-    )
+    """Byte-exact hash input."""
+    return _puzzle_prefix(user_id, issue_ms, seed) + struct.pack(">Q", nonce)
 
 
 def puzzle_digest(challenge: Challenge, nonce: int) -> bytes:
@@ -139,12 +143,7 @@ def solve(
     puzzles passes ``deadline_s`` (wall-clock seconds) and handles
     :class:`SolveTimeout`.
     """
-    prefix = hashlib.sha256(
-        struct.pack(">I", len(challenge.user_id))
-        + challenge.user_id
-        + struct.pack(">Q", challenge.issue_ms)
-        + challenge.seed
-    )
+    prefix = hashlib.sha256(_puzzle_prefix(challenge.user_id, challenge.issue_ms, challenge.seed))
     threshold_bits = challenge.difficulty
     digest_bits = 256
     deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
@@ -222,9 +221,8 @@ class ChallengeRegistry:
             if challenge.expired(now_ms):
                 del self._pending[seed_digest]
                 return VerifyResult(accepted=False, reason=REJECT_EXPIRED, challenge=challenge)
-            digest = puzzle_digest(challenge, nonce)
             self.hash_evaluations += 1
-            if leading_zero_bits(digest) >= challenge.difficulty:
+            if check_solution(challenge, nonce):
                 del self._pending[seed_digest]
                 return VerifyResult(accepted=True, challenge=challenge)
             # wrong nonce: the challenge stays live until solved or expired

@@ -26,8 +26,8 @@ from typing import Callable
 
 from . import pow_core
 from .cluster_models import ContextScore, fuse_scores, score_dabr, score_flow, score_tam
-from .errors import ProtocolError, SchemaError, SolveTimeout
-from .flow_ingest import ActivityRecord, extract_context
+from .errors import ConfigError, ProtocolError, SchemaError, SolveTimeout
+from .flow_ingest import extract_context
 from .persistence import ModelBundle
 from .policy_engine import PolicyConfig, map_difficulty, request_rng
 from .pow_core import Challenge, ChallengeRegistry, Solution
@@ -184,7 +184,7 @@ def decode_message(body: bytes) -> Message:
             return RejectMsg(reason=RejectReason(code))
         except ValueError:
             raise ProtocolError(f"unknown reject reason {code}") from None
-    except struct.error as exc:
+    except (struct.error, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed {msg_type.name} payload: {exc}") from None
 
 
@@ -277,6 +277,8 @@ class GateServer:
         clock_ms: Callable[[], int] | None = None,
         io_timeout_s: float = DEFAULT_IO_TIMEOUT_S,
     ) -> None:
+        if bundle.scaler is None:
+            raise ConfigError("model bundle has no feature scaler")
         self.bundle = bundle
         self.policy = policy
         self.registry = ChallengeRegistry()
@@ -287,6 +289,10 @@ class GateServer:
         self._by_digest: dict[str, GateEvent] = {}
         self._clock_ms = clock_ms or (lambda: int(time.time() * 1000))
         self._embedder = bundle.embedder()
+        active = policy.contexts_enabled & bundle.contexts_enabled
+        self._dabr = bundle.dabr if "dabr" in active else None
+        self._tam = bundle.tam if "tam" in active else None
+        self._flow = bundle.flow if "flow" in active else None
         self._host = host
         self._port = port
         self._io_timeout_s = io_timeout_s
@@ -296,39 +302,32 @@ class GateServer:
     # ── Request handling ────────────────────────────────────────────
 
     def score_request(self, req: Request) -> ContextScore:
-        """Run the enabled context models over one request descriptor."""
-        record = ActivityRecord(
-            user_id=req.user_id,
-            timestamp_min=req.arrival_min,
-            day_index=0,
-            flow_features=req.flow_features,
-            label="unlabeled",
+        """Run the enabled context models over one request; raises SchemaError on bad fields."""
+        ip_attributes, flow_vector = extract_context(
+            req.user_id, req.arrival_min, req.flow_features, self.bundle.scaler, self._embedder
         )
-        ctx = extract_context(record, self.bundle.scaler, self._embedder)
-        active = self.policy.contexts_enabled & self.bundle.contexts_enabled
         alpha = beta = gamma = 0.0
-        if "dabr" in active and self.bundle.dabr is not None:
-            alpha = score_dabr(self.bundle.dabr, ctx.ip_attributes)
-        if "tam" in active and self.bundle.tam is not None:
-            beta = score_tam(self.bundle.tam, ctx.user_id, ctx.arrival_min)
-        if "flow" in active and self.bundle.flow is not None:
-            gamma = score_flow(self.bundle.flow, ctx.flow_vector)
+        if self._dabr is not None:
+            alpha = score_dabr(self._dabr, ip_attributes)
+        if self._tam is not None:
+            beta = score_tam(self._tam, req.user_id, req.arrival_min)
+        if self._flow is not None:
+            gamma = score_flow(self._flow, flow_vector)
         return fuse_scores(alpha, beta, gamma, self.policy.weights)
 
-    def handle_request(self, req: Request) -> ChallengeMsg | RejectMsg:
-        if self.bundle is None or self.bundle.scaler is None:
-            return RejectMsg(reason=RejectReason.UNAVAILABLE)
-        if not all(x == x and abs(x) != float("inf") for x in req.flow_features):
-            return self._reject_request(req, RejectReason.BAD_REQUEST)
-        try:
-            score = self.score_request(req)
-        except (SchemaError, ValueError):
-            return self._reject_request(req, RejectReason.BAD_REQUEST)
-
+    def price(self, req: Request) -> tuple[ContextScore, int]:
+        """Score one request and map the score to the puzzle difficulty it is charged."""
+        score = self.score_request(req)
         rng = None
         if self.policy.policy_kind == "error_range":
             rng = request_rng(self.policy, req.user_id, req.arrival_min, req.flow_features)
-        difficulty = min(map_difficulty(self.policy, score.phi, rng), pow_core.MAX_DIFFICULTY)
+        return score, min(map_difficulty(self.policy, score.phi, rng), pow_core.MAX_DIFFICULTY)
+
+    def handle_request(self, req: Request) -> ChallengeMsg | RejectMsg:
+        try:
+            score, difficulty = self.price(req)
+        except SchemaError:
+            return self._reject_request(req, RejectReason.BAD_REQUEST)
 
         now_ms = self._clock_ms()
         challenge = self.registry.issue(
@@ -416,10 +415,14 @@ class GateServer:
                     if not isinstance(reply, ChallengeMsg):
                         return
                     second = decode_message(read_frame(sock))
-                    if not isinstance(second, SolutionMsg):
-                        write_frame(sock, encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST)))
-                        return
-                    write_frame(sock, encode_message(gate.handle_solution(second)))
+                    digest = pow_core.seed_digest(reply.seed)
+                    if isinstance(second, SolutionMsg) and second.seed_digest == digest:
+                        verdict = gate.handle_solution(second)
+                    else:
+                        # a session may only answer the challenge it was sent
+                        gate._finish(digest.hex(), admitted=False, reason=RejectReason.BAD_REQUEST.label)
+                        verdict = RejectMsg(reason=RejectReason.BAD_REQUEST)
+                    write_frame(sock, encode_message(verdict))
                 except ProtocolError as exc:
                     logger.debug("session aborted: %s", exc)
                     try:

@@ -24,11 +24,12 @@ from pathlib import Path
 from typing import Sequence
 
 from . import pow_core, synthlog
+from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN
 from .errors import ConfigError
 from .flow_ingest import MINUTES_PER_DAY, ActivityRecord, parse_activity_log
 from .kvconfig import as_bool, as_float, as_int, parse_kv_file
 from .policy_engine import load_policy
-from .protocol import GateServer, Request, SessionOutcome
+from .protocol import DEFAULT_QUEUE_CAPACITY, GateServer, Request, SessionOutcome
 from .protocol import client_session as run_client_session
 from .training import train_bundle
 
@@ -84,9 +85,9 @@ class SimulationScenario:
     users: tuple[UserSpec, ...]
     duration_s: float = 10.0
     seed: int = 0
-    queue_capacity: int = 1024
-    gap_merge_min: float = 5.0
-    aging_window_days: int = 5
+    queue_capacity: int = DEFAULT_QUEUE_CAPACITY
+    gap_merge_min: float = DEFAULT_GAP_MERGE_MIN
+    aging_window_days: int = DEFAULT_AGING_WINDOW_DAYS
     ip_attributes: Path | None = None
     eval_log: Path | None = None
     solve_timeout_s: float | None = 30.0
@@ -114,7 +115,12 @@ def load_scenario(path: str | Path) -> SimulationScenario:
     if unknown:
         raise ConfigError(f"{path}: unknown scenario keys: {sorted(unknown)}")
 
-    duration = as_float(doc.top.get("duration_s", "10"), "duration_s")
+    def optional(key: str, parse):
+        # an absent key takes the SimulationScenario field's own default
+        raw = doc.top.get(key)
+        return getattr(SimulationScenario, key) if raw is None else parse(raw, key)
+
+    duration = optional("duration_s", as_float)
     users: list[UserSpec] = []
     for section in doc.sections:
         parts = section.name.split(None, 1)
@@ -151,20 +157,21 @@ def load_scenario(path: str | Path) -> SimulationScenario:
 
     ip_attrs = doc.top.get("ip_attributes")
     eval_log = doc.top.get("eval_log")
-    solve_timeout = doc.top.get("solve_timeout_s", "30")
+    solve_timeout = doc.top.get("solve_timeout_s")
     return SimulationScenario(
         train_logs=tuple(base / p for p in doc.top.get_all("train_log")),
         policy_path=base / doc.top.require("policy"),
         users=tuple(users),
         duration_s=duration,
-        seed=as_int(doc.top.get("seed", "0"), "seed"),
-        queue_capacity=as_int(doc.top.get("queue_capacity", "1024"), "queue_capacity"),
-        gap_merge_min=as_float(doc.top.get("gap_merge_min", "5"), "gap_merge_min"),
-        aging_window_days=as_int(doc.top.get("aging_window_days", "5"), "aging_window_days"),
+        seed=optional("seed", as_int),
+        queue_capacity=optional("queue_capacity", as_int),
+        gap_merge_min=optional("gap_merge_min", as_float),
+        aging_window_days=optional("aging_window_days", as_int),
         ip_attributes=base / ip_attrs if ip_attrs else None,
         eval_log=base / eval_log if eval_log else None,
-        solve_timeout_s=as_float(solve_timeout, "solve_timeout_s") if solve_timeout else None,
-        expiry_ms=as_int(doc.top.get("expiry_ms", str(pow_core.DEFAULT_EXPIRY_MS)), "expiry_ms"),
+        # an empty solve_timeout_s turns the solve deadline off
+        solve_timeout_s=None if solve_timeout == "" else optional("solve_timeout_s", as_float),
+        expiry_ms=optional("expiry_ms", as_int),
     )
 
 

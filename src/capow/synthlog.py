@@ -39,8 +39,11 @@ def default_population(n_legit: int = 4, n_attackers: int = 2) -> tuple[Syntheti
     """A small mixed population with staggered legitimate activity windows."""
     users = []
     for i in range(n_legit):
-        start = 8 * 60 + i * 90.0
-        windows = ((start, start + 60.0), (start + 600.0, min(start + 660.0, 1439.0)))
+        # start 90 minutes apart, wrapping every 10 users; an evening
+        # window that would run past midnight moves to the morning
+        start = 8 * 60 + (i * 90.0) % 900.0
+        late = start + 600.0 if start + 660.0 <= MINUTES_PER_DAY else start - 600.0
+        windows = ((start, start + 60.0), (late, late + 60.0))
         users.append(
             SyntheticUser(
                 user_id=f"{LEGIT_BLOCK}{i + 1}",

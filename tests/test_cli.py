@@ -9,6 +9,9 @@ import time
 import pytest
 
 from capow.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from capow.persistence import load_bundle
+from capow.policy_engine import load_policy
+from capow.protocol import GateServer, Request, decode_message, encode_message, read_frame, write_frame
 
 
 @pytest.fixture()
@@ -107,6 +110,48 @@ def test_score_request_argument_errors(workspace):
     # arrival outside the day
     assert main(base + ["--user", "u", "--arrival", "2000",
                         "--features", "1,2,3,4,5"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "policy_text",
+    ["policy_kind: linear\n", "policy_kind: linear_shifted\n", "policy_kind: error_range\nrng_seed: 11\n"],
+)
+def test_score_prints_the_difficulty_serve_charges(workspace, capsys, policy_text):
+    policy_path = workspace["root"] / "priced.kv"
+    policy_path.write_text(policy_text)
+    requests = [
+        Request("10.0.0.1", 500.0, (900.0, 18.0, 16.0, 25000.0, 620.0)),
+        Request("10.0.0.2", 1200.5, (850.0, 20.0, 14.0, 24000.0, 600.0)),
+        Request("203.0.113.1", 30.25, (8.0, 120.0, 1.0, 800000.0, 64.0)),
+        Request("198.51.100.7", 720.0, (400.0, 60.0, 8.0, 300000.0, 300.0)),
+    ]
+    gate = GateServer(load_bundle(workspace["models"]), load_policy(policy_path))
+    with gate:
+        charged = []
+        for req in requests:
+            with socket.create_connection(gate.address, timeout=10) as sock:
+                write_frame(sock, encode_message(req))
+                charged.append(decode_message(read_frame(sock)).difficulty)
+    printed = []
+    for req in requests:
+        features = ",".join(repr(x) for x in req.flow_features)
+        assert main(["score", "--models", str(workspace["models"]), "--policy", str(policy_path),
+                     "--user", req.user_id, "--arrival", repr(req.arrival_min),
+                     "--features", features, "--csv"]) == EXIT_OK
+        printed.append(int(capsys.readouterr().out.strip().splitlines()[1].rsplit(",", 1)[1]))
+    assert printed == charged
+
+
+def test_score_refuses_non_finite_features(workspace):
+    base = ["score", "--models", str(workspace["models"]), "--policy", str(workspace["policy"]),
+            "--user", "10.0.0.1", "--arrival", "500"]
+    assert main(base + ["--features", "nan,18,16,25000,620"]) == EXIT_DATA
+    assert main(base + ["--features", "900,18,16,inf,620"]) == EXIT_DATA
+
+
+def test_synth_more_legit_users_than_fit_one_day(tmp_path, capsys):
+    assert main(["synth", "--out-log", str(tmp_path / "log.csv"), "--legit", "12"]) == EXIT_OK
+    assert "wrote" in capsys.readouterr().out
 
 
 def test_serve_rejects_bad_endpoint(workspace):

@@ -154,13 +154,32 @@ def test_octet_embedding():
 
 
 def test_extract_context(trained):
-    record = ActivityRecord("10.0.0.1", 500.0, 0, (900.0, 18.0, 16.0, 25000.0, 620.0), "unlabeled")
-    ctx = extract_context(record, trained.scaler, trained.embedder())
-    assert ctx.user_id == "10.0.0.1"
-    assert ctx.arrival_min == 500.0
-    assert len(ctx.flow_vector) == 5
-    assert all(0.0 <= x <= 1.0 for x in ctx.flow_vector)
-    assert len(ctx.ip_attributes) == trained.ip_table.dimension
+    flow = (900.0, 18.0, 16.0, 25000.0, 620.0)
+    ip_attributes, flow_vector = extract_context("10.0.0.1", 500.0, flow, trained.scaler, trained.embedder())
+    assert len(flow_vector) == 5
+    assert all(0.0 <= x <= 1.0 for x in flow_vector)
+    assert len(ip_attributes) == trained.ip_table.dimension
+    # without an embedder the dotted quad embeds by octets
+    assert extract_context("10.0.0.1", 0.0, flow, trained.scaler)[0] == octet_embedding("10.0.0.1")
+
+
+@pytest.mark.parametrize(
+    "arrival, flow",
+    [
+        (1440.0, (1.0, 2.0)),
+        (-0.5, (1.0, 2.0)),
+        (float("nan"), (1.0, 2.0)),
+        (float("inf"), (1.0, 2.0)),
+        (10.0, (float("nan"), 2.0)),
+        (10.0, (1.0, float("-inf"))),
+        (10.0, (1.0,)),
+        (10.0, (1.0, 2.0, 3.0)),
+    ],
+)
+def test_extract_context_rejects_bad_fields(arrival, flow):
+    scaler = FeatureScaler(mins=(0.0, 0.0), maxs=(10.0, 10.0))
+    with pytest.raises(SchemaError):
+        extract_context("u", arrival, flow, scaler)
 
 
 def test_ip_table_from_csv(tmp_path):

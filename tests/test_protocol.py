@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import socket
 import struct
 
 import pytest
@@ -21,6 +23,7 @@ from capow.protocol import (
     client_session,
     decode_message,
     encode_message,
+    read_frame,
 )
 
 LEGIT_FLOW = (900.0, 18.0, 16.0, 25000.0, 620.0)
@@ -114,6 +117,44 @@ def test_codec_fuzz_round_trip():
         assert decode_message(body(encode_message(msg))) == msg
 
 
+def test_decode_maps_bad_utf8_to_protocol_error():
+    frame = encode_message(Request(user_id="ab", arrival_min=1.0, flow_features=(1.0,)))
+    bad = bytearray(body(frame))
+    bad[3:5] = b"\xff\xfe"
+    with pytest.raises(ProtocolError):
+        decode_message(bytes(bad))
+
+
+def test_codec_fuzz_bytes_decode_or_protocol_error():
+    rng = random.Random(29)
+    valid = [
+        body(encode_message(msg))
+        for msg in (
+            Request(user_id="10.0.0.1", arrival_min=500.0, flow_features=LEGIT_FLOW),
+            Request(user_id="", arrival_min=0.0, flow_features=()),
+            ChallengeMsg(difficulty=7, issue_ms=123, seed=bytes(16), expiry_ms=30000),
+            SolutionMsg(seed_digest=bytes(32), nonce=99),
+            AcceptMsg(queue_position=4),
+            RejectMsg(reason=RejectReason.REPLAY),
+        )
+    ]
+    cases = []
+    for _ in range(2000):
+        cases.append(rng.randbytes(rng.randint(0, 64)))
+        frame = rng.choice(valid)
+        cases.append(frame[: rng.randrange(len(frame))])
+        flipped = bytearray(frame)
+        for _ in range(rng.randint(1, 3)):
+            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+        cases.append(bytes(flipped))
+    for case in cases:
+        try:
+            decoded = decode_message(case)
+        except ProtocolError:
+            continue
+        assert isinstance(decoded, (Request, ChallengeMsg, SolutionMsg, AcceptMsg, RejectMsg))
+
+
 # ── Queue ────────────────────────────────────────────────────────────
 
 
@@ -161,6 +202,9 @@ def test_handle_request_rejects_bad_vectors(gate):
     assert gate.handle_request(Request("u", 10.0, (1.0,))).reason is RejectReason.BAD_REQUEST
     nan_flow = (float("nan"),) + LEGIT_FLOW[1:]
     assert gate.handle_request(Request("u", 10.0, nan_flow)).reason is RejectReason.BAD_REQUEST
+    assert gate.handle_request(Request("u", float("nan"), LEGIT_FLOW)).reason is RejectReason.BAD_REQUEST
+    inf_flow = LEGIT_FLOW[:-1] + (float("inf"),)
+    assert gate.handle_request(Request("u", 10.0, inf_flow)).reason is RejectReason.BAD_REQUEST
     assert gate.events[-1].admitted is False
 
 
@@ -290,3 +334,29 @@ def test_concurrent_sessions(trained):
         assert all(r.admitted for r in results)
         positions = sorted(e.queue_position for e in gate.events if e.queue_position)
         assert positions == list(range(1, 9))
+
+
+def test_solution_must_name_its_own_sessions_challenge(trained):
+    def exchange(sock, msg):
+        sock.sendall(encode_message(msg))
+        return decode_message(read_frame(sock))
+
+    with GateServer(trained, make_policy("linear")) as gate:
+        # session A is admitted at position 1
+        with socket.create_connection(gate.address, timeout=10) as a:
+            challenge_a = exchange(a, Request("10.0.0.1", 500.0, LEGIT_FLOW))
+            solution_a = solve_challenge_msg(challenge_a, "10.0.0.1")
+            assert exchange(a, solution_a) == AcceptMsg(queue_position=1)
+        # session B gets its own challenge, then sends A's solution
+        with socket.create_connection(gate.address, timeout=10) as b:
+            challenge_b = exchange(b, Request("10.0.0.2", 600.0, LEGIT_FLOW))
+            assert isinstance(challenge_b, ChallengeMsg)
+            outstanding = gate.registry.outstanding
+            assert exchange(b, solution_a) == RejectMsg(reason=RejectReason.BAD_REQUEST)
+        assert gate.registry.outstanding == outstanding
+        record_a = next(e for e in gate.events if e.seed_digest == solution_a.seed_digest.hex())
+        assert (record_a.admitted, record_a.reason, record_a.queue_position) == (True, None, 1)
+        digest_b = hashlib.sha256(challenge_b.seed).hexdigest()
+        record_b = next(e for e in gate.events if e.seed_digest == digest_b)
+        assert (record_b.admitted, record_b.reason) == (False, "bad-request")
+        assert len(gate.queue) == 1
