@@ -258,14 +258,13 @@ def score_flow(model: FlowModel, flow_vector: Sequence[float]) -> float:
 # ── Fusion ───────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextScore:
-    """Component scores, weights, and the fused score."""
+    """Component scores and the fused score, with the model that decided it."""
 
     alpha: float
     beta: float
     gamma: float
-    weights: tuple[float, float, float]
     phi: float
     deciding_model: ModelName
 
@@ -293,7 +292,6 @@ def fuse_scores(
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        weights=tuple(weights),
         phi=phi,
         deciding_model=(ModelName.DABR, ModelName.TAM, ModelName.FLOW)[best],
     )

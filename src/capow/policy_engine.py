@@ -23,7 +23,6 @@ Policy files use the flat ``key: value`` format (see ``kvconfig``), e.g.::
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import random
 import struct
@@ -33,8 +32,6 @@ from typing import Sequence
 
 from .errors import ConfigError
 from .kvconfig import as_float, as_int, parse_kv_file
-
-logger = logging.getLogger(__name__)
 
 POLICY_KINDS = ("linear", "linear_shifted", "error_range")
 ALL_CONTEXTS = frozenset({"dabr", "tam", "flow"})
@@ -149,15 +146,12 @@ def _parse_weights(raw: str) -> tuple[float, float, float]:
 def map_difficulty(policy: PolicyConfig, phi: float, rng: random.Random | None = None) -> int:
     """Map a fused context score onto an integer puzzle difficulty.
 
-    Out-of-range scores clamp with a warning. For ``error_range`` the draw
-    comes from ``rng``; when none is given a generator seeded from the
-    policy's ``rng_seed`` is used, making a one-shot call deterministic.
+    Scores outside ``[score_lo, score_hi]`` clamp to that range. For
+    ``error_range`` the draw comes from ``rng``; when none is given a
+    generator seeded from the policy's ``rng_seed`` is used, making a
+    one-shot call deterministic.
     """
-    if not policy.score_lo <= phi <= policy.score_hi:
-        logger.warning(
-            "context score %.3f outside [%g, %g]; clamping", phi, policy.score_lo, policy.score_hi
-        )
-        phi = min(policy.score_hi, max(policy.score_lo, phi))
+    phi = min(policy.score_hi, max(policy.score_lo, phi))
     fraction = (phi - policy.score_lo) / (policy.score_hi - policy.score_lo)
     d_real = policy.difficulty_lo + fraction * (policy.difficulty_hi - policy.difficulty_lo)
     if policy.policy_kind in ("linear", "linear_shifted"):

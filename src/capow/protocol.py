@@ -62,7 +62,6 @@ class RejectReason(IntEnum):
 
 _POW_REASON_CODES = {
     pow_core.REJECT_EXPIRED: RejectReason.EXPIRED,
-    pow_core.REJECT_REPLAY: RejectReason.REPLAY,
     pow_core.REJECT_WRONG_SOLUTION: RejectReason.WRONG_SOLUTION,
 }
 
@@ -237,17 +236,18 @@ class ServerQueue:
             return len(self._items)
 
 
-@dataclass
+@dataclass(slots=True)
 class GateEvent:
-    """Per-request audit record: the scoring decision plus the final verdict."""
+    """The one audit record of a request: its score, its price and its verdict.
+
+    A request refused before scoring has no ``score``, ``difficulty`` or
+    ``seed_digest``; a challenged one has ``admitted`` None until its
+    verdict is known.
+    """
 
     user_id: str
-    arrival_min: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    phi: float | None = None
-    deciding_model: str | None = None
+    arrival_min: float
+    score: ContextScore | None = None
     difficulty: int | None = None
     seed_digest: str | None = None
     admitted: bool | None = None
@@ -333,24 +333,10 @@ class GateServer:
         challenge = self.registry.issue(
             req.user_id.encode("utf-8"), difficulty, now_ms, self.expiry_ms
         )
-        digest_hex = challenge.seed_digest().hex()
-        event = GateEvent(
-            user_id=req.user_id,
-            arrival_min=req.arrival_min,
-            alpha=score.alpha,
-            beta=score.beta,
-            gamma=score.gamma,
-            phi=score.phi,
-            deciding_model=score.deciding_model.value,
-            difficulty=difficulty,
-            seed_digest=digest_hex,
-        )
+        event = GateEvent(req.user_id, req.arrival_min, score, difficulty,
+                          challenge.seed_digest().hex())
         self._record(event)
-        logger.info(
-            "scored %s: alpha=%.3f beta=%.3f gamma=%.3f phi=%.3f (%s) -> d=%d",
-            req.user_id, score.alpha, score.beta, score.gamma, score.phi,
-            score.deciding_model.value, difficulty,
-        )
+        logger.debug("%s", event)
         return ChallengeMsg(
             difficulty=difficulty,
             issue_ms=challenge.issue_ms,
@@ -360,6 +346,9 @@ class GateServer:
 
     def handle_solution(self, sol: SolutionMsg) -> AcceptMsg | RejectMsg:
         result = self.registry.verify(sol.seed_digest, sol.nonce, self._clock_ms())
+        if result.reason == pow_core.REJECT_REPLAY:
+            # no live challenge for this digest, so no pending record to finish
+            return RejectMsg(reason=RejectReason.REPLAY)
         digest_hex = sol.seed_digest.hex()
         if not result.accepted:
             reason = _POW_REASON_CODES[result.reason]
@@ -386,11 +375,7 @@ class GateServer:
     def _finish(self, digest_hex: str, *, admitted: bool,
                 reason: str | None = None, queue_position: int | None = None) -> None:
         with self._events_lock:
-            event = self._by_digest.get(digest_hex)
-            if event is None:
-                event = GateEvent(user_id="", seed_digest=digest_hex)
-                self.events.append(event)
-                self._by_digest[digest_hex] = event
+            event = self._by_digest[digest_hex]
             event.admitted = admitted
             event.reason = reason
             event.queue_position = queue_position

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import pow_core, synthlog
-from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN
+from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN, ContextScore
 from .errors import ConfigError
 from .flow_ingest import MINUTES_PER_DAY, ActivityRecord, parse_activity_log
 from .kvconfig import as_bool, as_float, as_int, parse_kv_file
@@ -200,26 +200,25 @@ REPORT_COLUMNS = (
 
 @dataclass
 class MergedEvent:
-    """One request seen end to end: client outcome joined with the server's scoring."""
+    """One request seen end to end: client outcome joined with the gate's score."""
 
     user_id: str
     role: str
     request_index: int
     arrival_min: float
     outcome: SessionOutcome
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    phi: float | None = None
-    deciding_model: str | None = None
+    score: ContextScore | None = None
 
     def row(self) -> list:
-        fmt = lambda x: "" if x is None else f"{x:.6f}"
         out = self.outcome
+        s = self.score
+        scored = [""] * 5 if s is None else [
+            f"{s.alpha:.6f}", f"{s.beta:.6f}", f"{s.gamma:.6f}", f"{s.phi:.6f}",
+            s.deciding_model.value,
+        ]
         return [
             self.user_id, self.role, self.request_index, f"{self.arrival_min:.3f}",
-            fmt(self.alpha), fmt(self.beta), fmt(self.gamma), fmt(self.phi),
-            self.deciding_model or "",
+            *scored,
             "" if out.difficulty is None else out.difficulty,
             int(out.admitted), out.reason or "", f"{out.latency_ms:.3f}",
             out.attempts, out.seed_digest or "",
@@ -303,25 +302,12 @@ def run_simulation(
         t.join()
     server.stop()
 
-    by_digest = {e.seed_digest: e for e in server.events if e.seed_digest}
-    events: list[MergedEvent] = []
-    for spec in scenario.users:
-        for index, arrival, outcome in per_user[spec.user_id]:
-            merged = MergedEvent(
-                user_id=spec.user_id,
-                role=spec.role,
-                request_index=index,
-                arrival_min=arrival,
-                outcome=outcome,
-            )
-            gate_event = by_digest.get(outcome.seed_digest) if outcome.seed_digest else None
-            if gate_event is not None:
-                merged.alpha = gate_event.alpha
-                merged.beta = gate_event.beta
-                merged.gamma = gate_event.gamma
-                merged.phi = gate_event.phi
-                merged.deciding_model = gate_event.deciding_model
-            events.append(merged)
+    scores = {e.seed_digest: e.score for e in server.events if e.seed_digest}
+    events = [
+        MergedEvent(spec.user_id, spec.role, index, arrival, outcome, scores.get(outcome.seed_digest))
+        for spec in scenario.users
+        for index, arrival, outcome in per_user[spec.user_id]
+    ]
 
     report = [_summarize(spec, [e for e in events if e.user_id == spec.user_id])
               for spec in scenario.users]
@@ -396,10 +382,7 @@ def _summarize(spec: UserSpec, events: Sequence[MergedEvent]) -> ReportRow:
     abandoned = sum(1 for e in events if e.outcome.reason == "abandoned")
     rejected = len(events) - admitted - abandoned
     difficulties = [e.outcome.difficulty for e in events if e.outcome.difficulty is not None]
-    phis = [e.phi for e in events if e.phi is not None]
-    alphas = [e.alpha for e in events if e.alpha is not None]
-    betas = [e.beta for e in events if e.beta is not None]
-    gammas = [e.gamma for e in events if e.gamma is not None]
+    scores = [e.score for e in events if e.score is not None]
     latencies = [e.outcome.latency_ms for e in events]
     mean = lambda xs: statistics.fmean(xs) if xs else None
     return ReportRow(
@@ -411,10 +394,10 @@ def _summarize(spec: UserSpec, events: Sequence[MergedEvent]) -> ReportRow:
         abandoned=abandoned,
         admit_rate=admitted / len(events) if events else 0.0,
         mean_difficulty=mean(difficulties),
-        mean_phi=mean(phis),
-        mean_alpha=mean(alphas),
-        mean_beta=mean(betas),
-        mean_gamma=mean(gammas),
+        mean_phi=mean([s.phi for s in scores]),
+        mean_alpha=mean([s.alpha for s in scores]),
+        mean_beta=mean([s.beta for s in scores]),
+        mean_gamma=mean([s.gamma for s in scores]),
         median_latency_ms=statistics.median(latencies) if latencies else 0.0,
     )
 
@@ -487,8 +470,8 @@ def render_score_plot(events: Sequence[MergedEvent], path: str | Path) -> Path |
     fig, ax = plt.subplots(figsize=(8, 4.5))
     colors = {"legitimate": "tab:blue", "attacker": "tab:red"}
     for role in ROLES:
-        xs = [i for i, e in enumerate(events) if e.role == role and e.phi is not None]
-        ys = [e.phi for e in events if e.role == role and e.phi is not None]
+        xs = [i for i, e in enumerate(events) if e.role == role and e.score is not None]
+        ys = [e.score.phi for e in events if e.role == role and e.score is not None]
         if xs:
             ax.scatter(xs, ys, s=18, label=role, color=colors[role], alpha=0.8)
     ax.set_xlabel("request")

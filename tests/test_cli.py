@@ -11,7 +11,15 @@ import pytest
 from capow.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from capow.persistence import load_bundle
 from capow.policy_engine import load_policy
-from capow.protocol import GateServer, Request, decode_message, encode_message, read_frame, write_frame
+from capow.protocol import (
+    ChallengeMsg,
+    GateServer,
+    Request,
+    decode_message,
+    encode_message,
+    read_frame,
+    write_frame,
+)
 
 
 @pytest.fixture()
@@ -190,6 +198,38 @@ def test_serve_and_solve_subprocess(workspace):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def test_serve_keeps_answering_when_nobody_reads_its_stderr(workspace):
+    # a narrow score range clamps every spoofed request's score; neither the
+    # clamp nor the request itself may write to stderr, or a full pipe stalls
+    # every session
+    policy = workspace["root"] / "narrow.kv"
+    policy.write_text("policy_kind: linear\nscore_max: 5\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "capow.cli", "serve",
+         "--models", str(workspace["models"]), "--policy", str(policy),
+         "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(proc.stdout.readline().rsplit(":", 1)[1])
+        _wait_for_port(port)
+        features = (900.0, 18.0, 16.0, 25000.0, 620.0)
+        for i in range(2000):
+            # request a challenge, then hang up without solving it
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                write_frame(sock, encode_message(Request(f"spoof-{i:04d}", 500.0, features)))
+                reply = decode_message(read_frame(sock))
+            assert isinstance(reply, ChallengeMsg), f"session {i} got {reply!r}"
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_simulate_command(workspace, capsys):

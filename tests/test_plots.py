@@ -4,6 +4,7 @@ import pytest
 
 pytest.importorskip("matplotlib")
 
+from capow.cluster_models import fuse_scores
 from capow.protocol import SessionOutcome
 from capow.simulate import MergedEvent, SweepRow, render_score_plot, render_sweep_plot
 
@@ -19,7 +20,8 @@ def make_event(role: str, phi: float) -> MergedEvent:
         seed_digest="ab",
     )
     return MergedEvent(
-        user_id="u", role=role, request_index=0, arrival_min=10.0, outcome=outcome, phi=phi
+        user_id="u", role=role, request_index=0, arrival_min=10.0, outcome=outcome,
+        score=fuse_scores(phi, 0.0, 0.0),
     )
 
 

@@ -179,13 +179,15 @@ def gate(trained):
 
 
 def test_handle_request_issues_challenge_and_logs_scores(gate):
-    reply = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+    req = Request("10.0.0.1", 500.0, LEGIT_FLOW)
+    reply = gate.handle_request(req)
     assert isinstance(reply, ChallengeMsg)
     assert 10 <= reply.difficulty <= 20
     event = gate.events[-1]
     assert event.user_id == "10.0.0.1"
-    assert event.phi is not None and 0 <= event.phi <= 10
-    assert event.deciding_model in {"dabr", "tam", "flow"}
+    assert 0 <= event.score.phi <= 10
+    assert event.score.deciding_model in {"dabr", "tam", "flow"}
+    assert event.score == gate.price(req)[0]
     assert event.difficulty == reply.difficulty
     assert event.admitted is None  # verdict pending
 
@@ -217,9 +219,15 @@ def test_full_admission_cycle_and_replay(gate):
     event = next(e for e in gate.events if e.seed_digest == solution.seed_digest.hex())
     assert event.admitted is True
     assert event.queue_position == 1
-    # the same solution cannot be replayed
+    # the same solution cannot be replayed, and the replay leaves the record alone
     replay = gate.handle_solution(solution)
     assert replay.reason is RejectReason.REPLAY
+    assert (event.admitted, event.reason, event.queue_position) == (True, None, 1)
+    # a digest the gate never issued is a replay too, and adds no record
+    recorded = len(gate.events)
+    unknown = SolutionMsg(seed_digest=random.Random(7).randbytes(32), nonce=0)
+    assert gate.handle_solution(unknown) == RejectMsg(reason=RejectReason.REPLAY)
+    assert len(gate.events) == recorded
 
 
 def test_wrong_solution_then_correct(gate):

@@ -192,6 +192,11 @@ def test_run_simulation_outputs(scenario_file, tmp_path):
         if e["admitted"] == "1":
             assert e["difficulty"] != ""
             assert float(e["phi"]) >= 0.0
+    # the gate's score joins every challenged row and no other
+    score_columns = ("alpha", "beta", "gamma", "phi", "deciding_model")
+    for e in events:
+        filled = [e[c] != "" for c in score_columns]
+        assert filled == [e["difficulty"] != ""] * len(score_columns)
 
     with open(out / "report.csv") as fh:
         report_rows = list(csv.DictReader(fh))
