@@ -12,8 +12,9 @@ single hash evaluation. The byte layout is part of the protocol contract:
     rho:    16 seed bytes
     nonce:  u64 big-endian
 
-Per-challenge seeds defeat precomputation, and the server-side registry
-accepts at most one solution per seed (replay defense).
+Per-challenge seeds defeat precomputation. :class:`ChallengeRegistry` is
+the library verifier and accepts at most one solution per seed (replay
+defense); the gate does not use it, because each session holds its own.
 """
 
 from __future__ import annotations

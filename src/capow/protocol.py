@@ -6,9 +6,10 @@ solves and sends SOLUTION, the server verifies and answers ACCEPT with a
 queue position or REJECT with a reason code.
 
 Frames are length-prefixed: ``u32be body length || u8 msg_type || payload``.
-Field-level layouts are documented on each message class. The server
-stores the authoritative challenge tuple; a SOLUTION references it only
-by seed digest, so clients cannot downgrade their own difficulty.
+Field-level layouts are documented on each message class. Each TCP
+session holds its own authoritative challenge and ends with a verdict on
+its audit record; a SOLUTION references the challenge only by seed
+digest, so clients cannot downgrade their own difficulty.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import pow_core
 from .cluster_models import ContextScore, fuse_scores, score_dabr, score_flow, score_tam
@@ -37,6 +38,7 @@ logger = logging.getLogger(__name__)
 MAX_FRAME_BYTES = 1 << 20
 DEFAULT_QUEUE_CAPACITY = 1024
 DEFAULT_IO_TIMEOUT_S = 120.0
+ABANDONED = "abandoned"  # a verdict label only: no REJECT carries it
 
 
 class MsgType(IntEnum):
@@ -58,12 +60,6 @@ class RejectReason(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower().replace("_", "-")
-
-
-_POW_REASON_CODES = {
-    pow_core.REJECT_EXPIRED: RejectReason.EXPIRED,
-    pow_core.REJECT_WRONG_SOLUTION: RejectReason.WRONG_SOLUTION,
-}
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,7 @@ class GateEvent:
 
     A request refused before scoring has no ``score``, ``difficulty`` or
     ``seed_digest``; a challenged one has ``admitted`` None until its
-    verdict is known.
+    session's verdict. A refusal's ``reason`` is a REJECT label or ``abandoned``.
     """
 
     user_id: str
@@ -255,14 +251,22 @@ class GateEvent:
     queue_position: int | None = None
 
 
+class Session(NamedTuple):
+    """One challenged request's puzzle and audit record, held by the session that was sent it."""
+
+    challenge: Challenge
+    event: GateEvent
+
+
 class GateServer:
     """Scores requests, issues puzzles, verifies solutions, queues admissions.
 
-    Models and policy are immutable and shared across sessions; the
-    challenge registry and the queue are the only synchronized mutable
-    state. ``start()`` binds a threaded TCP listener (port 0 picks an
-    ephemeral port); handlers can also be driven directly in tests via
-    :meth:`handle_request` / :meth:`handle_solution`.
+    Models and policy are immutable and shared across sessions; the queue
+    is the only synchronized mutable state. Each challenge lives in the
+    :class:`Session` that :meth:`handle_request` returns until
+    :meth:`handle_solution` gives it its one verdict. ``start()`` binds a
+    threaded TCP listener (port 0 picks an ephemeral port) that runs one
+    session per connection; tests can also call both methods directly.
     """
 
     def __init__(
@@ -279,14 +283,16 @@ class GateServer:
     ) -> None:
         if bundle.scaler is None:
             raise ConfigError("model bundle has no feature scaler")
+        if not 0 <= expiry_ms <= 0xFFFFFFFF:
+            raise ConfigError(f"expiry_ms must be in [0, {0xFFFFFFFF}], got {expiry_ms}")
+        if queue_capacity < 1:
+            raise ConfigError(f"queue capacity must be at least 1, got {queue_capacity}")
         self.bundle = bundle
         self.policy = policy
-        self.registry = ChallengeRegistry()
+        self.registry = ChallengeRegistry()  # never filled; perfbench's ServerProbe.state reads it
         self.queue = ServerQueue(queue_capacity)
         self.expiry_ms = expiry_ms
         self.events: list[GateEvent] = []
-        self._events_lock = threading.Lock()
-        self._by_digest: dict[str, GateEvent] = {}
         self._clock_ms = clock_ms or (lambda: int(time.time() * 1000))
         self._embedder = bundle.embedder()
         active = policy.contexts_enabled & bundle.contexts_enabled
@@ -323,62 +329,52 @@ class GateServer:
             rng = request_rng(self.policy, req.user_id, req.arrival_min, req.flow_features)
         return score, min(map_difficulty(self.policy, score.phi, rng), pow_core.MAX_DIFFICULTY)
 
-    def handle_request(self, req: Request) -> ChallengeMsg | RejectMsg:
+    def handle_request(self, req: Request) -> tuple[ChallengeMsg | RejectMsg, Session | None]:
+        """Price one REQUEST; a CHALLENGE comes with the session that must settle it."""
         try:
             score, difficulty = self.price(req)
         except SchemaError:
-            return self._reject_request(req, RejectReason.BAD_REQUEST)
+            self.events.append(GateEvent(req.user_id, req.arrival_min, admitted=False,
+                                         reason=RejectReason.BAD_REQUEST.label))
+            return RejectMsg(reason=RejectReason.BAD_REQUEST), None
 
-        now_ms = self._clock_ms()
-        challenge = self.registry.issue(
-            req.user_id.encode("utf-8"), difficulty, now_ms, self.expiry_ms
+        challenge = pow_core.issue_challenge(
+            req.user_id.encode("utf-8"), difficulty, self._clock_ms(), self.expiry_ms
         )
         event = GateEvent(req.user_id, req.arrival_min, score, difficulty,
                           challenge.seed_digest().hex())
-        self._record(event)
+        self.events.append(event)
         logger.debug("%s", event)
-        return ChallengeMsg(
+        reply = ChallengeMsg(
             difficulty=difficulty,
             issue_ms=challenge.issue_ms,
             seed=challenge.seed,
             expiry_ms=challenge.expiry_ms,
         )
+        return reply, Session(challenge, event)
 
-    def handle_solution(self, sol: SolutionMsg) -> AcceptMsg | RejectMsg:
-        result = self.registry.verify(sol.seed_digest, sol.nonce, self._clock_ms())
-        if result.reason == pow_core.REJECT_REPLAY:
-            # no live challenge for this digest, so no pending record to finish
+    def handle_solution(self, session: Session, msg: Message | None) -> AcceptMsg | RejectMsg:
+        """The session's one verdict; ``msg`` None stands for a frame that did not decode.
+
+        A session that already has its verdict answers REPLAY and keeps it.
+        """
+        challenge, event = session
+        if event.admitted is not None:
             return RejectMsg(reason=RejectReason.REPLAY)
-        digest_hex = sol.seed_digest.hex()
-        if not result.accepted:
-            reason = _POW_REASON_CODES[result.reason]
-            self._finish(digest_hex, admitted=False, reason=reason.label)
-            return RejectMsg(reason=reason)
-        position = self.queue.try_enqueue(digest_hex)
-        if position is None:
-            self._finish(digest_hex, admitted=False, reason=RejectReason.OVERLOADED.label)
-            return RejectMsg(reason=RejectReason.OVERLOADED)
-        self._finish(digest_hex, admitted=True, queue_position=position)
-        return AcceptMsg(queue_position=position)
-
-    def _reject_request(self, req: Request, reason: RejectReason) -> RejectMsg:
-        self._record(GateEvent(user_id=req.user_id, arrival_min=req.arrival_min,
-                               admitted=False, reason=reason.label))
+        if not isinstance(msg, SolutionMsg) or msg.seed_digest.hex() != event.seed_digest:
+            reason = RejectReason.BAD_REQUEST
+        elif challenge.expired(self._clock_ms()):
+            reason = RejectReason.EXPIRED
+        elif not pow_core.check_solution(challenge, msg.nonce):
+            reason = RejectReason.WRONG_SOLUTION
+        else:
+            position = self.queue.try_enqueue(event.seed_digest)
+            if position is not None:
+                event.admitted, event.queue_position = True, position
+                return AcceptMsg(queue_position=position)
+            reason = RejectReason.OVERLOADED
+        event.admitted, event.reason = False, reason.label
         return RejectMsg(reason=reason)
-
-    def _record(self, event: GateEvent) -> None:
-        with self._events_lock:
-            self.events.append(event)
-            if event.seed_digest:
-                self._by_digest[event.seed_digest] = event
-
-    def _finish(self, digest_hex: str, *, admitted: bool,
-                reason: str | None = None, queue_position: int | None = None) -> None:
-        with self._events_lock:
-            event = self._by_digest[digest_hex]
-            event.admitted = admitted
-            event.reason = reason
-            event.queue_position = queue_position
 
     # ── TCP plumbing ────────────────────────────────────────────────
 
@@ -390,24 +386,22 @@ class GateServer:
             def handle(self) -> None:
                 sock: socket.socket = self.request
                 sock.settimeout(gate._io_timeout_s)
+                session = None
                 try:
                     first = decode_message(read_frame(sock))
                     if not isinstance(first, Request):
                         write_frame(sock, encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST)))
                         return
-                    reply = gate.handle_request(first)
+                    reply, session = gate.handle_request(first)
                     write_frame(sock, encode_message(reply))
-                    if not isinstance(reply, ChallengeMsg):
+                    if session is None:
                         return
-                    second = decode_message(read_frame(sock))
-                    digest = pow_core.seed_digest(reply.seed)
-                    if isinstance(second, SolutionMsg) and second.seed_digest == digest:
-                        verdict = gate.handle_solution(second)
-                    else:
-                        # a session may only answer the challenge it was sent
-                        gate._finish(digest.hex(), admitted=False, reason=RejectReason.BAD_REQUEST.label)
-                        verdict = RejectMsg(reason=RejectReason.BAD_REQUEST)
-                    write_frame(sock, encode_message(verdict))
+                    frame = read_frame(sock)
+                    try:
+                        second = decode_message(frame)
+                    except ProtocolError:
+                        second = None
+                    write_frame(sock, encode_message(gate.handle_solution(session, second)))
                 except ProtocolError as exc:
                     logger.debug("session aborted: %s", exc)
                     try:
@@ -416,6 +410,10 @@ class GateServer:
                         pass
                 except OSError as exc:
                     logger.debug("session I/O error: %s", exc)
+                finally:
+                    # no SOLUTION frame came: a hang-up, an I/O timeout or a bad length header
+                    if session is not None and session.event.admitted is None:
+                        session.event.admitted, session.event.reason = False, ABANDONED
 
         class TcpServer(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -502,7 +500,7 @@ def client_session(
             try:
                 solution: Solution = pow_core.solve(challenge, deadline_s=solve_deadline_s)
             except SolveTimeout:
-                return _outcome(request, False, "abandoned", started, attempts, difficulty, digest_hex)
+                return _outcome(request, False, ABANDONED, started, attempts, difficulty, digest_hex)
             attempts = solution.attempts
             write_frame(
                 sock,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import socketserver
+import traceback
+
 import pytest
 
 from capow import synthlog
@@ -28,3 +31,16 @@ def trained(corpus):
     bundle, report = train_bundle(corpus["logs"], ip_attributes_path=corpus["ip"])
     assert report.contexts_enabled == frozenset({"dabr", "tam", "flow"})
     return bundle
+
+
+@pytest.fixture(autouse=True)
+def gate_handler_errors_fail(monkeypatch):
+    """Fail the test if a socketserver handler raised; socketserver itself only prints it."""
+    errors: list[str] = []
+
+    def record(server, request, client_address) -> None:
+        errors.append(traceback.format_exc())
+
+    monkeypatch.setattr(socketserver.BaseServer, "handle_error", record)
+    yield
+    assert not errors, "a gate handler raised:\n" + "\n".join(errors)

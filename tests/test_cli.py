@@ -168,6 +168,16 @@ def test_serve_rejects_bad_endpoint(workspace):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", [["--expiry-ms", "-1"], ["--expiry-ms", "5000000000"],
+                                   ["--queue-capacity", "0"]],
+                         ids=["negative-expiry", "expiry-over-u32", "no-queue"])
+def test_serve_rejects_gate_config_it_cannot_serve(workspace, capsys, flags):
+    code = main(["serve", "--models", str(workspace["models"]),
+                 "--policy", str(workspace["policy"]), *flags])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_report_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["report", "--max-difficulty", "4", "--trials", "3", "--out", str(out)])

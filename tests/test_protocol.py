@@ -4,10 +4,12 @@ import hashlib
 import random
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
-from capow.errors import ProtocolError
+from capow.errors import ConfigError, ProtocolError
 from capow.policy_engine import make_policy
 from capow.pow_core import solve
 from capow.protocol import (
@@ -34,6 +36,23 @@ def body(frame: bytes) -> bytes:
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4
     return frame[4:]
+
+
+def wait_for(predicate, timeout_s: float = 10.0) -> None:
+    """Poll ``predicate`` until it holds; fail once ``timeout_s`` has passed."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not met before the deadline"
+        time.sleep(0.005)
+
+
+def verdict(event) -> tuple:
+    return event.admitted, event.reason
+
+
+def exchange(sock: socket.socket, msg) -> object:
+    sock.sendall(encode_message(msg))
+    return decode_message(read_frame(sock))
 
 
 # ── Message codec ────────────────────────────────────────────────────
@@ -180,8 +199,10 @@ def gate(trained):
 
 def test_handle_request_issues_challenge_and_logs_scores(gate):
     req = Request("10.0.0.1", 500.0, LEGIT_FLOW)
-    reply = gate.handle_request(req)
+    reply, session = gate.handle_request(req)
     assert isinstance(reply, ChallengeMsg)
+    assert session.event is gate.events[-1]
+    assert session.challenge.seed == reply.seed
     assert 10 <= reply.difficulty <= 20
     event = gate.events[-1]
     assert event.user_id == "10.0.0.1"
@@ -193,68 +214,95 @@ def test_handle_request_issues_challenge_and_logs_scores(gate):
 
 
 def test_unknown_flooder_scores_higher_than_trained_user(gate):
-    legit = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
-    flood = gate.handle_request(Request("198.51.100.77", 500.0, ATTACK_FLOW))
+    legit, _ = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+    flood, _ = gate.handle_request(Request("198.51.100.77", 500.0, ATTACK_FLOW))
     assert flood.difficulty > legit.difficulty
     assert flood.difficulty == 20  # unknown user saturates the temporal score
 
 
 def test_handle_request_rejects_bad_vectors(gate):
-    assert gate.handle_request(Request("u", 2000.0, LEGIT_FLOW)).reason is RejectReason.BAD_REQUEST
-    assert gate.handle_request(Request("u", 10.0, (1.0,))).reason is RejectReason.BAD_REQUEST
+    refused = (RejectMsg(reason=RejectReason.BAD_REQUEST), None)
+    assert gate.handle_request(Request("u", 2000.0, LEGIT_FLOW)) == refused
+    assert gate.handle_request(Request("u", 10.0, (1.0,))) == refused
     nan_flow = (float("nan"),) + LEGIT_FLOW[1:]
-    assert gate.handle_request(Request("u", 10.0, nan_flow)).reason is RejectReason.BAD_REQUEST
-    assert gate.handle_request(Request("u", float("nan"), LEGIT_FLOW)).reason is RejectReason.BAD_REQUEST
+    assert gate.handle_request(Request("u", 10.0, nan_flow)) == refused
+    assert gate.handle_request(Request("u", float("nan"), LEGIT_FLOW)) == refused
     inf_flow = LEGIT_FLOW[:-1] + (float("inf"),)
-    assert gate.handle_request(Request("u", 10.0, inf_flow)).reason is RejectReason.BAD_REQUEST
+    assert gate.handle_request(Request("u", 10.0, inf_flow)) == refused
     assert gate.events[-1].admitted is False
 
 
 def test_full_admission_cycle_and_replay(gate):
-    challenge = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+    challenge, session = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
     solution = solve_challenge_msg(challenge, "10.0.0.1")
-    verdict = gate.handle_solution(solution)
-    assert isinstance(verdict, AcceptMsg)
-    assert verdict.queue_position == 1
+    accepted = gate.handle_solution(session, solution)
+    assert isinstance(accepted, AcceptMsg)
+    assert accepted.queue_position == 1
     event = next(e for e in gate.events if e.seed_digest == solution.seed_digest.hex())
+    assert event is session.event
     assert event.admitted is True
     assert event.queue_position == 1
-    # the same solution cannot be replayed, and the replay leaves the record alone
-    replay = gate.handle_solution(solution)
+    # a settled session cannot be answered again, and the replay leaves the record alone
+    replay = gate.handle_solution(session, solution)
     assert replay.reason is RejectReason.REPLAY
     assert (event.admitted, event.reason, event.queue_position) == (True, None, 1)
-    # a digest the gate never issued is a replay too, and adds no record
+    # so does any later message, and it adds no record
     recorded = len(gate.events)
     unknown = SolutionMsg(seed_digest=random.Random(7).randbytes(32), nonce=0)
-    assert gate.handle_solution(unknown) == RejectMsg(reason=RejectReason.REPLAY)
+    assert gate.handle_solution(session, unknown) == RejectMsg(reason=RejectReason.REPLAY)
     assert len(gate.events) == recorded
+    assert len(gate.queue) == 1
 
 
 def test_wrong_solution_then_correct(gate):
-    challenge = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+    challenge, session = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
     good = solve_challenge_msg(challenge, "10.0.0.1")
     bad = SolutionMsg(seed_digest=good.seed_digest, nonce=good.nonce + 1 + 2**50)
-    assert gate.handle_solution(bad).reason is RejectReason.WRONG_SOLUTION
-    assert isinstance(gate.handle_solution(good), AcceptMsg)
+    assert gate.handle_solution(session, bad).reason is RejectReason.WRONG_SOLUTION
+    # a wrong nonce is the session's one verdict: the right one comes too late
+    assert gate.handle_solution(session, good).reason is RejectReason.REPLAY
+    assert verdict(session.event) == (False, "wrong-solution")
+
+
+def test_handle_solution_answers_only_the_sessions_own_challenge(gate):
+    challenge, session = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+    solution = solve_challenge_msg(challenge, "10.0.0.1")
+    # another session's solution, a message that is no SOLUTION, a frame that did not decode
+    for msg in (solution, challenge, None):
+        _, other = gate.handle_request(Request("10.0.0.2", 600.0, LEGIT_FLOW))
+        assert gate.handle_solution(other, msg) == RejectMsg(reason=RejectReason.BAD_REQUEST)
+        assert verdict(other.event) == (False, "bad-request")
+    assert session.event.admitted is None
+    assert gate.handle_solution(session, solution) == AcceptMsg(queue_position=1)
 
 
 def test_expired_challenge_rejected(trained):
     clock = {"now": 1000}
     gate = GateServer(trained, make_policy("linear"), expiry_ms=50,
                       clock_ms=lambda: clock["now"])
-    challenge = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+    challenge, session = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
     solution = solve_challenge_msg(challenge, "10.0.0.1")
     clock["now"] = 2000
-    assert gate.handle_solution(solution).reason is RejectReason.EXPIRED
+    assert gate.handle_solution(session, solution).reason is RejectReason.EXPIRED
+    assert verdict(session.event) == (False, "expired")
 
 
 def test_queue_overflow_rejects_overloaded(trained):
     gate = GateServer(trained, make_policy("linear"), queue_capacity=1)
-    first = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
-    assert isinstance(gate.handle_solution(solve_challenge_msg(first, "10.0.0.1")), AcceptMsg)
-    second = gate.handle_request(Request("10.0.0.1", 501.0, LEGIT_FLOW))
-    verdict = gate.handle_solution(solve_challenge_msg(second, "10.0.0.1"))
-    assert verdict.reason is RejectReason.OVERLOADED
+    first, session = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+    assert isinstance(gate.handle_solution(session, solve_challenge_msg(first, "10.0.0.1")), AcceptMsg)
+    second, session = gate.handle_request(Request("10.0.0.1", 501.0, LEGIT_FLOW))
+    refused = gate.handle_solution(session, solve_challenge_msg(second, "10.0.0.1"))
+    assert refused.reason is RejectReason.OVERLOADED
+    assert verdict(session.event) == (False, "overloaded")
+
+
+@pytest.mark.parametrize("bad", [{"expiry_ms": -1}, {"expiry_ms": 2**32}, {"queue_capacity": 0}],
+                         ids=["negative-expiry", "expiry-over-u32", "no-queue"])
+def test_gate_refuses_config_it_cannot_serve(trained, bad):
+    with pytest.raises(ConfigError):
+        GateServer(trained, make_policy("linear"), **bad)
+    GateServer(trained, make_policy("linear"), expiry_ms=2**32 - 1, queue_capacity=1)
 
 
 def test_policy_context_selection_masks_models(trained):
@@ -308,9 +356,12 @@ def test_client_session_abandons_on_hard_puzzle(trained):
         outcome = client_session(
             Request("198.51.100.1", 100.0, ATTACK_FLOW), gate.address, solve_deadline_s=0.05
         )
-    assert not outcome.admitted
-    assert outcome.reason == "abandoned"
-    assert outcome.difficulty >= 40
+        assert not outcome.admitted
+        assert outcome.reason == "abandoned"
+        assert outcome.difficulty >= 40
+        # the server's record of the hang-up reads the same
+        wait_for(lambda: gate.events[-1].admitted is not None)
+        assert verdict(gate.events[-1]) == (False, "abandoned")
 
 
 def test_client_session_transport_failure():
@@ -345,10 +396,6 @@ def test_concurrent_sessions(trained):
 
 
 def test_solution_must_name_its_own_sessions_challenge(trained):
-    def exchange(sock, msg):
-        sock.sendall(encode_message(msg))
-        return decode_message(read_frame(sock))
-
     with GateServer(trained, make_policy("linear")) as gate:
         # session A is admitted at position 1
         with socket.create_connection(gate.address, timeout=10) as a:
@@ -359,12 +406,79 @@ def test_solution_must_name_its_own_sessions_challenge(trained):
         with socket.create_connection(gate.address, timeout=10) as b:
             challenge_b = exchange(b, Request("10.0.0.2", 600.0, LEGIT_FLOW))
             assert isinstance(challenge_b, ChallengeMsg)
-            outstanding = gate.registry.outstanding
             assert exchange(b, solution_a) == RejectMsg(reason=RejectReason.BAD_REQUEST)
-        assert gate.registry.outstanding == outstanding
         record_a = next(e for e in gate.events if e.seed_digest == solution_a.seed_digest.hex())
         assert (record_a.admitted, record_a.reason, record_a.queue_position) == (True, None, 1)
         digest_b = hashlib.sha256(challenge_b.seed).hexdigest()
         record_b = next(e for e in gate.events if e.seed_digest == digest_b)
         assert (record_b.admitted, record_b.reason) == (False, "bad-request")
         assert len(gate.queue) == 1
+
+
+def test_undecodable_second_frame_gets_a_bad_request_verdict(trained):
+    with GateServer(trained, make_policy("linear")) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
+            sock.sendall(bytes.fromhex("000000020300"))  # a SOLUTION with a 1-byte body
+            assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.BAD_REQUEST)
+        wait_for(lambda: gate.events[-1].admitted is not None)
+        assert verdict(gate.events[-1]) == (False, "bad-request")
+
+
+def test_silent_peer_is_abandoned_at_the_io_timeout(trained):
+    with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
+            wait_for(lambda: gate.events[-1].admitted is not None)
+            assert verdict(gate.events[-1]) == (False, "abandoned")
+
+
+def test_hang_ups_leave_only_abandoned_records(trained):
+    def hang_up(n: int) -> None:
+        # each session reads its CHALLENGE, then closes the connection
+        for i in range(n):
+            with socket.create_connection(gate.address, timeout=10) as sock:
+                reply = exchange(sock, Request(f"198.51.100.{i % 250}", 500.0, ATTACK_FLOW))
+                assert isinstance(reply, ChallengeMsg)
+
+    with GateServer(trained, make_policy("linear")) as gate:
+        workers = [threading.Thread(target=hang_up, args=(250,)) for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+        wait_for(lambda: len(gate.events) == 500 and all(e.admitted is not None for e in gate.events))
+        assert {verdict(e) for e in gate.events} == {(False, "abandoned")}
+        assert gate.registry.outstanding == 0
+        assert len(gate.queue) == 0
+
+
+def test_second_frame_fuzz_every_record_gets_a_verdict(trained):
+    rng = random.Random(41)
+    with GateServer(trained, make_policy("linear")) as gate:
+        for i in range(200):
+            with socket.create_connection(gate.address, timeout=10) as sock:
+                challenge = exchange(sock, Request("10.0.0.1", 500.0 + i % 100, LEGIT_FLOW))
+                assert isinstance(challenge, ChallengeMsg)
+                digest = hashlib.sha256(challenge.seed).digest()
+                frame = encode_message(SolutionMsg(seed_digest=digest, nonce=rng.getrandbits(64)))
+                kind = rng.randrange(4)
+                if kind == 0:
+                    sock.sendall(rng.randbytes(rng.randint(1, 48)))
+                elif kind == 1:
+                    sock.sendall(frame[: rng.randrange(len(frame))])
+                elif kind == 2:
+                    flipped = bytearray(frame)
+                    flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+                    sock.sendall(bytes(flipped))
+                # kind 3 hangs up; every session stops sending, so the gate sees the end of its frame
+                try:
+                    sock.shutdown(socket.SHUT_WR)
+                    read_frame(sock)
+                except (ProtocolError, OSError):
+                    pass  # the gate may already have answered and closed
+        wait_for(lambda: len(gate.events) == 200 and all(e.admitted is not None for e in gate.events))
+        reasons = {e.reason for e in gate.events}
+        assert reasons <= {None, "bad-request", "wrong-solution", "abandoned"}
+        assert {"bad-request", "wrong-solution", "abandoned"} <= reasons
