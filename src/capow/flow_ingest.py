@@ -249,6 +249,7 @@ def octet_embedding(user_id: str) -> tuple[float, ...]:
     return tuple(b / 255.0 for b in digest)
 
 
+@dataclass
 class IpAttributeTable:
     """IP-attribute feed: maps an IP to an n-dimensional attribute vector.
 
@@ -259,24 +260,23 @@ class IpAttributeTable:
     mid-cube by default.
     """
 
-    def __init__(
-        self,
-        rows: dict[str, tuple[float, ...]],
-        columns: tuple[str, ...],
-        fallback: tuple[float, ...] | None = None,
-    ) -> None:
-        if not rows:
+    rows: dict[str, tuple[float, ...]]
+    columns: tuple[str, ...]
+    fallback: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not self.rows:
             raise EmptyTrainingSetError("IP attribute table has no rows")
-        dims = {len(v) for v in rows.values()}
-        if dims != {len(columns)}:
+        dims = {len(v) for v in self.rows.values()}
+        if dims != {len(self.columns)}:
             raise SchemaError("IP attribute rows do not all match the declared columns")
-        self.rows = dict(rows)
-        self.columns = tuple(columns)
-        mins = [min(v[j] for v in rows.values()) for j in range(len(columns))]
-        maxs = [max(v[j] for v in rows.values()) for j in range(len(columns))]
-        self.scaler = FeatureScaler(mins=tuple(mins), maxs=tuple(maxs))
-        self.fallback = tuple(fallback) if fallback is not None else (0.5,) * len(columns)
-        if len(self.fallback) != len(columns):
+        self.rows = dict(self.rows)
+        self.columns = tuple(self.columns)
+        attributes = tuple(zip(*self.rows.values()))
+        self.scaler = FeatureScaler(mins=tuple(map(min, attributes)), maxs=tuple(map(max, attributes)))
+        n = len(self.columns)
+        self.fallback = tuple(self.fallback) if self.fallback is not None else (0.5,) * n
+        if len(self.fallback) != n:
             raise SchemaError("fallback vector dimension does not match the table")
 
     @classmethod

@@ -9,16 +9,21 @@ Policy and scenario files share one operator-editable format:
     [section name]
     key: value
 
+A '#' that starts a line, or has whitespace before it, starts a comment
+that runs to the end of the line; a '#' inside a word (``id#2``) is kept.
 Values are kept as raw strings; consumers coerce them. Keys are
 lower-cased, section names keep their case (user ids live there).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+
+_COMMENT = re.compile(r"(^|\s)#.*")
 
 
 @dataclass
@@ -56,8 +61,8 @@ def parse_kv_text(text: str, source: str = "<string>") -> KvDocument:
     doc = KvDocument(top=KvSection(name=""))
     current = doc.top
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw).strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = KvSection(name=line[1:-1].strip())

@@ -1,121 +1,88 @@
 """Model persistence: one versioned JSON document per trained model.
 
-Every document carries a format tag and schema version. Serialization is
-canonical (sorted keys, fixed separators, trailing newline) so a
-save -> load -> save round trip is bit-exact.
+A document holds the model's constructor fields, its kind, a format tag
+and a schema version. Serialization is canonical (sorted keys, fixed
+separators, trailing newline) so a save -> load -> save round trip is
+bit-exact.
 
-A model *bundle* is a directory holding the scaler, the trained models,
-an optional IP-attribute table, and a manifest naming the enabled
-contexts and the flow column schema.
+A model *bundle* is a directory holding ``<kind>.json`` for each model
+it carries and a manifest naming those files and the flow column schema.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .cluster_models import CentroidModel, FlowModel, TemporalModel
-from .errors import ConfigError
+from .cluster_models import CentroidModel, FlowModel, ModelName, TemporalModel
+from .errors import CapowError, ConfigError
 from .flow_ingest import FeatureScaler, IpAttributeTable, IpEmbedder, octet_embedding
 
 FORMAT_TAG = "capow-model"
 MANIFEST_TAG = "capow-manifest"
 SCHEMA_VERSION = 1
-
 MANIFEST_FILE = "manifest.json"
-BUNDLE_FILES = {
-    "scaler": "scaler.json",
-    "dabr": "dabr.json",
-    "tam": "tam.json",
-    "flow": "flow.json",
-    "ip_table": "ip_table.json",
+
+# A kind names the model's document, its ModelBundle slot and its file, <kind>.json.
+MODEL_KINDS = {
+    "scaler": FeatureScaler,
+    "dabr": CentroidModel,
+    "tam": TemporalModel,
+    "flow": FlowModel,
+    "ip_table": IpAttributeTable,
 }
+_KIND_OF = {cls: kind for kind, cls in MODEL_KINDS.items()}
 
 Model = CentroidModel | TemporalModel | FlowModel | FeatureScaler | IpAttributeTable
 
 
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def _thawer(sample):
+    """The function that turns JSON values shaped like ``sample`` back into tuples, at every depth.
+
+    A container's first item stands for all of its items, so an array of
+    plain values takes a single ``tuple()`` call.
+    """
+    if type(sample) is dict:
+        inner = _thawer(next(iter(sample.values()), None))
+        return lambda value: {key: inner(item) for key, item in value.items()}
+    if type(sample) is not list:
+        return lambda value: value
+    if not sample or type(sample[0]) not in (list, dict):
+        return tuple
+    inner = _thawer(sample[0])
+    return lambda value: tuple(map(inner, value))
+
+
 def dumps_model(model: Model) -> str:
     """Serialize a model to its canonical JSON document."""
-    if isinstance(model, CentroidModel):
-        body = {
-            "kind": "dabr",
-            "centroid": list(model.centroid),
-            "delta_max": model.delta_max,
-            "scale_i": model.scale_i,
-        }
-    elif isinstance(model, TemporalModel):
-        body = {
-            "kind": "tam",
-            "intervals": {
-                user: [[start, end] for start, end in ivs]
-                for user, ivs in sorted(model.intervals.items())
-            },
-            "delta_max_min": model.delta_max_min,
-            "aging_window_days": model.aging_window_days,
-        }
-    elif isinstance(model, FlowModel):
-        body = {
-            "kind": "flow",
-            "legit_centroid": list(model.legit_centroid),
-            "malicious_centroid": list(model.malicious_centroid),
-        }
-    elif isinstance(model, FeatureScaler):
-        body = {"kind": "scaler", "mins": list(model.mins), "maxs": list(model.maxs)}
-    elif isinstance(model, IpAttributeTable):
-        body = {
-            "kind": "ip_table",
-            "columns": list(model.columns),
-            "rows": {ip: list(v) for ip, v in sorted(model.rows.items())},
-            "fallback": list(model.fallback),
-        }
-    else:
+    kind = _KIND_OF.get(type(model))
+    if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    body["format"] = FORMAT_TAG
-    body["schema_version"] = SCHEMA_VERSION
-    return json.dumps(body, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    doc = {f.name: getattr(model, f.name) for f in fields(model)}
+    return _canonical({**doc, "kind": kind, "format": FORMAT_TAG, "schema_version": SCHEMA_VERSION})
 
 
 def loads_model(text: str) -> Model:
     """Parse a canonical model document back into its typed form."""
     doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
+    if not isinstance(doc, dict) or doc.pop("format", None) != FORMAT_TAG:
         raise ConfigError("not a capow model document")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported model schema version {doc.get('schema_version')!r}")
-    kind = doc.get("kind")
+    version = doc.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported model schema version {version!r}")
+    kind = doc.pop("kind", None)
+    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown model kind {kind!r}")
     try:
-        if kind == "dabr":
-            return CentroidModel(
-                centroid=tuple(doc["centroid"]),
-                delta_max=doc["delta_max"],
-                scale_i=doc["scale_i"],
-            )
-        if kind == "tam":
-            return TemporalModel(
-                intervals={
-                    user: tuple((s, e) for s, e in ivs)
-                    for user, ivs in doc["intervals"].items()
-                },
-                delta_max_min=doc["delta_max_min"],
-                aging_window_days=doc["aging_window_days"],
-            )
-        if kind == "flow":
-            return FlowModel(
-                legit_centroid=tuple(doc["legit_centroid"]),
-                malicious_centroid=tuple(doc["malicious_centroid"]),
-            )
-        if kind == "scaler":
-            return FeatureScaler(mins=tuple(doc["mins"]), maxs=tuple(doc["maxs"]))
-        if kind == "ip_table":
-            return IpAttributeTable(
-                rows={ip: tuple(v) for ip, v in doc["rows"].items()},
-                columns=tuple(doc["columns"]),
-                fallback=tuple(doc["fallback"]),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"model document missing field {exc}") from None
-    raise ConfigError(f"unknown model kind {kind!r}")
+        return cls(**{name: _thawer(value)(value) for name, value in doc.items()})
+    except (CapowError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"unusable {kind} model: {exc}") from None
 
 
 def save_model(model: Model, path: str | Path) -> Path:
@@ -125,12 +92,15 @@ def save_model(model: Model, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path) -> Model:
-    return loads_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        return loads_model(Path(path).read_text(encoding="utf-8"))
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass
 class ModelBundle:
-    """Everything the gate needs to score requests."""
+    """Everything the gate needs to score requests; its contexts are the context models it holds."""
 
     scaler: FeatureScaler
     tam: TemporalModel | None = None
@@ -138,7 +108,18 @@ class ModelBundle:
     dabr: CentroidModel | None = None
     ip_table: IpAttributeTable | None = None
     flow_columns: tuple[str, ...] = ()
-    contexts_enabled: frozenset[str] = field(default_factory=frozenset)
+
+    def __post_init__(self) -> None:
+        # parts that do not fit together would fail every request
+        if self.flow is not None and self.flow.dimension != self.scaler.dimension:
+            raise ConfigError(f"flow model is {self.flow.dimension}-D, the scaler {self.scaler.dimension}-D")
+        dims = len(self.embedder()("0.0.0.0"))
+        if self.dabr is not None and len(self.dabr.centroid) != dims:
+            raise ConfigError(f"dabr centroid is {len(self.dabr.centroid)}-D, the IP embedding {dims}-D")
+
+    @property
+    def contexts_enabled(self) -> frozenset[str]:
+        return frozenset(m.value for m in ModelName if getattr(self, m.value) is not None)
 
     def embedder(self) -> IpEmbedder:
         if self.ip_table is not None:
@@ -150,33 +131,21 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> Path:
     """Write the bundle's models plus a manifest into a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
-    for name, model in (
-        ("scaler", bundle.scaler),
-        ("dabr", bundle.dabr),
-        ("tam", bundle.tam),
-        ("flow", bundle.flow),
-        ("ip_table", bundle.ip_table),
-    ):
-        if model is None:
-            continue
-        save_model(model, directory / BUNDLE_FILES[name])
-        files[name] = BUNDLE_FILES[name]
+    files = {kind: save_model(model, directory / f"{kind}.json").name
+             for kind in MODEL_KINDS if (model := getattr(bundle, kind)) is not None}
     manifest = {
         "format": MANIFEST_TAG,
         "schema_version": SCHEMA_VERSION,
-        "contexts_enabled": sorted(bundle.contexts_enabled),
+        "contexts_enabled": sorted(bundle.contexts_enabled),  # for readers; never read back
         "files": files,
         "flow_columns": list(bundle.flow_columns),
     }
-    (directory / MANIFEST_FILE).write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ": "), indent=1) + "\n",
-        encoding="utf-8",
-    )
+    (directory / MANIFEST_FILE).write_text(_canonical(manifest), encoding="utf-8")
     return directory
 
 
 def load_bundle(directory: str | Path) -> ModelBundle:
+    """Load a bundle directory; one the gate could not use raises ConfigError."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.exists():
@@ -185,17 +154,13 @@ def load_bundle(directory: str | Path) -> ModelBundle:
     if manifest.get("format") != MANIFEST_TAG:
         raise ConfigError(f"{manifest_path}: not a capow manifest")
     files = manifest.get("files", {})
-    if "scaler" not in files:
+    if not isinstance(files, dict) or "scaler" not in files:
         raise ConfigError(f"{directory}: bundle has no scaler")
-    loaded: dict[str, Model] = {
-        name: load_model(directory / filename) for name, filename in files.items()
-    }
-    return ModelBundle(
-        scaler=loaded["scaler"],
-        tam=loaded.get("tam"),
-        flow=loaded.get("flow"),
-        dabr=loaded.get("dabr"),
-        ip_table=loaded.get("ip_table"),
-        flow_columns=tuple(manifest.get("flow_columns", [])),
-        contexts_enabled=frozenset(manifest.get("contexts_enabled", [])),
-    )
+    models = {}
+    for kind, filename in files.items():
+        if kind not in MODEL_KINDS:
+            raise ConfigError(f"{manifest_path}: {kind!r} names no model kind")
+        models[kind] = model = load_model(directory / filename)
+        if type(model) is not MODEL_KINDS[kind]:
+            raise ConfigError(f"{directory}: {filename} holds a {_KIND_OF[type(model)]} model, not {kind}")
+    return ModelBundle(**models, flow_columns=tuple(manifest.get("flow_columns", [])))

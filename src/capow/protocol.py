@@ -196,8 +196,20 @@ def read_frame(sock: socket.socket) -> bytes:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    """Read exactly n bytes; once a recv comes up short, the rest must come within the socket timeout.
+
+    A peer that trickles bytes so holds one read for about twice the
+    timeout, not for a timeout per byte.
+    """
     chunks = bytearray()
+    started = None
     while len(chunks) < n:
+        if chunks:
+            timeout = sock.gettimeout()
+            if started is None:
+                started = time.monotonic()
+            elif timeout is not None and time.monotonic() - started > timeout:
+                raise TimeoutError(f"{n - len(chunks)} of {n} bytes still missing after {timeout} s")
         chunk = sock.recv(n - len(chunks))
         if not chunk:
             raise ProtocolError("connection closed mid-frame")
@@ -295,10 +307,9 @@ class GateServer:
         self.events: list[GateEvent] = []
         self._clock_ms = clock_ms or (lambda: int(time.time() * 1000))
         self._embedder = bundle.embedder()
-        active = policy.contexts_enabled & bundle.contexts_enabled
-        self._dabr = bundle.dabr if "dabr" in active else None
-        self._tam = bundle.tam if "tam" in active else None
-        self._flow = bundle.flow if "flow" in active else None
+        self._dabr = bundle.dabr if "dabr" in policy.contexts_enabled else None
+        self._tam = bundle.tam if "tam" in policy.contexts_enabled else None
+        self._flow = bundle.flow if "flow" in policy.contexts_enabled else None
         self._host = host
         self._port = port
         self._io_timeout_s = io_timeout_s

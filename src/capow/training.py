@@ -93,14 +93,12 @@ def train_bundle(
     scaler = fit_scaler(records)
     legitimate = [r for r in records if r.label == LABEL_LEGITIMATE]
     malicious = [r for r in records if r.label == LABEL_MALICIOUS]
-    enabled: set[str] = set()
 
     tam = None
     if legitimate:
         try:
             tam = train_tam(legitimate, gap_merge_min, aging_window_days)
             report.tam_users = len(tam.intervals)
-            enabled.add("tam")
         except EmptyTrainingSetError as exc:
             report.warn(f"temporal model disabled: {exc}", partial=True)
     else:
@@ -115,7 +113,6 @@ def train_bundle(
             )
             report.flow_legitimate = len(legitimate)
             report.flow_malicious = len(malicious)
-            enabled.add("flow")
         except DegenerateModelError as exc:
             report.warn(f"flow model disabled: {exc}", partial=True)
     else:
@@ -131,7 +128,6 @@ def train_bundle(
         if vectors:
             dabr = train_dabr(vectors, delta_max=dabr_delta_max)
             report.dabr_vectors = len(vectors)
-            enabled.add("dabr")
         else:
             report.warn("ip-distance model disabled: attribute table is empty", partial=True)
     else:
@@ -144,7 +140,6 @@ def train_bundle(
         dabr=dabr,
         ip_table=ip_table,
         flow_columns=flow_columns or (),
-        contexts_enabled=frozenset(enabled),
     )
     report.contexts_enabled = bundle.contexts_enabled
     return bundle, report

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import subprocess
@@ -155,6 +156,18 @@ def test_score_refuses_non_finite_features(workspace):
             "--user", "10.0.0.1", "--arrival", "500"]
     assert main(base + ["--features", "nan,18,16,25000,620"]) == EXIT_DATA
     assert main(base + ["--features", "900,18,16,inf,620"]) == EXIT_DATA
+
+
+def test_score_refuses_a_bundle_the_gate_cannot_use(workspace, capsys):
+    # dropping the IP table leaves a 3-dimension DAbR centroid against 4 address octets
+    manifest = workspace["models"] / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["files"]["ip_table"]
+    manifest.write_text(json.dumps(doc))
+    code = main(["score", "--models", str(workspace["models"]), "--policy", str(workspace["policy"]),
+                 "--user", "10.0.0.1", "--arrival", "500", "--features", "900,18,16,25000,620"])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_synth_more_legit_users_than_fit_one_day(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -127,7 +128,6 @@ def test_partial_bundle_round_trip(tmp_path):
     bundle = ModelBundle(
         scaler=FeatureScaler(mins=(0.0,), maxs=(1.0,)),
         tam=TemporalModel(intervals={"u": ((1.0, 2.0),)}),
-        contexts_enabled=frozenset({"tam"}),
     )
     back = load_bundle(save_bundle(bundle, tmp_path / "models"))
     assert back.flow is None
@@ -144,3 +144,56 @@ def test_load_bundle_requires_manifest(tmp_path):
 def test_bundle_embedder_fallback():
     bundle = ModelBundle(scaler=FeatureScaler(mins=(0.0,), maxs=(1.0,)))
     assert bundle.embedder()("10.0.0.1") == (10 / 255, 0.0, 0.0, 1 / 255)
+
+
+def edit_json(path, change) -> None:
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_bundle_refuses_flow_model_of_another_dimension(tmp_path, trained):
+    directory = save_bundle(trained, tmp_path / "models")
+    save_model(FeatureScaler(mins=(0.0,), maxs=(1.0,)), directory / "scaler.json")
+    with pytest.raises(ConfigError, match="flow model is 5-D, the scaler 1-D"):
+        load_bundle(directory)
+
+
+def test_bundle_refuses_dabr_centroid_its_embedder_cannot_reach(tmp_path, trained):
+    # without its IP table the bundle embeds the four address octets
+    directory = save_bundle(trained, tmp_path / "models")
+    edit_json(directory / "manifest.json", lambda m: m["files"].pop("ip_table"))
+    with pytest.raises(ConfigError, match="dabr centroid is 3-D, the IP embedding 4-D"):
+        load_bundle(directory)
+
+
+def test_bundle_refuses_a_slot_that_names_no_model_kind(tmp_path, trained):
+    directory = save_bundle(trained, tmp_path / "models")
+    edit_json(directory / "manifest.json", lambda m: m["files"].update(dns="dabr.json"))
+    with pytest.raises(ConfigError, match="'dns' names no model kind"):
+        load_bundle(directory)
+
+
+def test_bundle_refuses_a_file_of_another_kind_than_its_slot(tmp_path, trained):
+    directory = save_bundle(trained, tmp_path / "models")
+    edit_json(directory / "manifest.json", lambda m: m["files"].update(tam="flow.json"))
+    with pytest.raises(ConfigError, match="holds a flow model, not tam"):
+        load_bundle(directory)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("tam", "intervals", {"10.0.0.1": [[30, 20]]}),  # the model refuses it with ValueError
+    ("dabr", "centroid", "abc"),  # TypeError
+    ("ip_table", "rows", [1, 2]),  # AttributeError
+])
+def test_bundle_refuses_a_field_its_model_refuses(tmp_path, trained, kind, field, value):
+    directory = save_bundle(trained, tmp_path / "models")
+    edit_json(directory / f"{kind}.json", lambda doc: doc.update({field: value}))
+    with pytest.raises(ConfigError, match=f"{kind}.json: unusable {kind} model"):
+        load_bundle(directory)
+
+
+def test_contexts_are_the_models_a_bundle_holds(tmp_path, trained):
+    directory = save_bundle(trained, tmp_path / "models")
+    edit_json(directory / "manifest.json", lambda m: m.update(contexts_enabled=["tam"]))
+    assert load_bundle(directory).contexts_enabled == frozenset({"dabr", "tam", "flow"})

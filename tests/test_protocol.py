@@ -482,3 +482,37 @@ def test_second_frame_fuzz_every_record_gets_a_verdict(trained):
         reasons = {e.reason for e in gate.events}
         assert reasons <= {None, "bad-request", "wrong-solution", "abandoned"}
         assert {"bad-request", "wrong-solution", "abandoned"} <= reasons
+
+
+def trickle_until_closed(sock: socket.socket, frame: bytes, gap_s: float = 0.2) -> float:
+    """Send ``frame`` one byte per ``gap_s``; return the seconds until the gate closed the connection."""
+    sock.settimeout(gap_s)
+    started = time.monotonic()
+    for byte in frame:
+        try:
+            sock.sendall(bytes([byte]))
+            if sock.recv(1) == b"":
+                return time.monotonic() - started
+        except socket.timeout:
+            continue
+        except OSError:
+            return time.monotonic() - started
+    raise AssertionError("the gate read the whole trickled frame")
+
+
+def test_trickled_request_is_cut_off_after_the_io_timeout(trained):
+    with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            frame = encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+            assert trickle_until_closed(sock, frame) < 2.0
+        assert gate.events == []
+
+
+def test_trickled_solution_is_abandoned_after_the_io_timeout(trained):
+    with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
+            frame = encode_message(solve_challenge_msg(challenge, "10.0.0.1"))
+            assert trickle_until_closed(sock, frame) < 2.0
+        wait_for(lambda: gate.events[-1].admitted is not None)
+        assert verdict(gate.events[-1]) == (False, "abandoned")
