@@ -11,15 +11,17 @@ Policy and scenario files share one operator-editable format:
 
 A '#' that starts a line, or has whitespace before it, starts a comment
 that runs to the end of the line; a '#' inside a word (``id#2``) is kept.
-Values are kept as raw strings; consumers coerce them. Keys are
-lower-cased, section names keep their case (user ids live there).
+Values are kept as raw strings; consumers parse them through key tables.
+Keys are lower-cased, section names keep their case (user ids live there).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
 
@@ -31,10 +33,10 @@ class KvSection:
     name: str
     values: dict[str, list[str]] = field(default_factory=dict)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
+    def get(self, key: str) -> str | None:
         vals = self.values.get(key)
         if not vals:
-            return default
+            return None
         if len(vals) > 1:
             raise ConfigError(f"key '{key}' given {len(vals)} times, expected once")
         return vals[0]
@@ -47,6 +49,18 @@ class KvSection:
         if val is None:
             raise ConfigError(f"missing required key '{key}'" + (f" in [{self.name}]" if self.name else ""))
         return val
+
+    def read(self, table: Mapping[str, tuple[str, Callable[[str, str], Any] | None]], where: str) -> dict:
+        """The section's values by field: ``table`` maps each file key to (dataclass field, parser).
+
+        A key the table lacks is refused, and a key left out keeps its field's
+        default. The caller reads a key without a parser: a required or repeated one.
+        """
+        unknown = self.values.keys() - table.keys()
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys: {sorted(unknown)}")
+        return {name: parse(raw, key) for key, (name, parse) in table.items()
+                if parse is not None and (raw := self.get(key)) is not None}
 
 
 @dataclass
@@ -80,11 +94,18 @@ def parse_kv_file(path: str | Path) -> KvDocument:
     return parse_kv_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
+def as_str(value: str, key: str) -> str:
+    return value
+
+
 def as_float(value: str, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"key '{key}': expected a finite number, got {value!r}")
+    return number
 
 
 def as_int(value: str, key: str) -> int:

@@ -150,12 +150,18 @@ def load_bundle(directory: str | Path) -> ModelBundle:
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.exists():
         raise ConfigError(f"{directory}: no {MANIFEST_FILE}; not a model bundle")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format") != MANIFEST_TAG:
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_TAG:
         raise ConfigError(f"{manifest_path}: not a capow manifest")
     files = manifest.get("files", {})
     if not isinstance(files, dict) or "scaler" not in files:
         raise ConfigError(f"{directory}: bundle has no scaler")
+    columns = manifest.get("flow_columns", [])
+    if not isinstance(columns, list) or not all(isinstance(x, str) for x in (*files.values(), *columns)):
+        raise ConfigError(f"{manifest_path}: file names and flow columns must be strings")
     models = {}
     for kind, filename in files.items():
         if kind not in MODEL_KINDS:
@@ -163,4 +169,4 @@ def load_bundle(directory: str | Path) -> ModelBundle:
         models[kind] = model = load_model(directory / filename)
         if type(model) is not MODEL_KINDS[kind]:
             raise ConfigError(f"{directory}: {filename} holds a {_KIND_OF[type(model)]} model, not {kind}")
-    return ModelBundle(**models, flow_columns=tuple(manifest.get("flow_columns", [])))
+    return ModelBundle(**models, flow_columns=tuple(columns))

@@ -9,15 +9,9 @@ contexts are enabled. Three mapping kinds exist:
 * ``error_range``    - linear value d_i, then a uniform draw from the
                        integer interval [ceil(d_i - eps), ceil(d_i + eps)]
 
-Policy files use the flat ``key: value`` format (see ``kvconfig``), e.g.::
-
-    policy_kind: error_range
-    difficulty_min: 0
-    difficulty_max: 10
-    epsilon: 0.2
-    weights: 1, 1, 1
-    contexts: dabr, tam, flow
-    rng_seed: 7
+Policy files use the flat ``key: value`` format (see ``kvconfig``).
+``POLICY_TABLE`` names each key and the field it sets; the README's
+"Policy file" section shows every key in an example a test loads.
 """
 
 from __future__ import annotations
@@ -31,7 +25,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError
-from .kvconfig import as_float, as_int, parse_kv_file
+from .kvconfig import as_float, as_int, as_str, parse_kv_file
+from .pow_core import MAX_DIFFICULTY
 
 POLICY_KINDS = ("linear", "linear_shifted", "error_range")
 ALL_CONTEXTS = frozenset({"dabr", "tam", "flow"})
@@ -42,18 +37,6 @@ DEFAULT_DIFFICULTY_RANGE = {
     "linear": (0, 10),
     "linear_shifted": (10, 20),
     "error_range": (0, 10),
-}
-
-_KNOWN_KEYS = {
-    "policy_kind",
-    "score_min",
-    "score_max",
-    "difficulty_min",
-    "difficulty_max",
-    "epsilon",
-    "weights",
-    "rng_seed",
-    "contexts",
 }
 
 
@@ -74,18 +57,14 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.policy_kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy_kind {self.policy_kind!r}, expected one of {POLICY_KINDS}")
-        if self.score_lo >= self.score_hi:
-            raise ConfigError("score range must have score_min < score_max")
-        if self.difficulty_lo > self.difficulty_hi:
-            raise ConfigError(
-                f"difficulty range [{self.difficulty_lo}, {self.difficulty_hi}] is inverted"
-            )
-        if self.difficulty_lo < 0:
-            raise ConfigError("difficulty levels must be non-negative")
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be non-negative, got {self.epsilon}")
-        if any(w < 0 for w in self.weights):
-            raise ConfigError(f"weights must be non-negative, got {self.weights}")
+        if not -math.inf < self.score_lo < self.score_hi < math.inf:
+            raise ConfigError(f"score range [{self.score_lo}, {self.score_hi}] must be finite, min below max")
+        if not 0 <= self.difficulty_lo <= self.difficulty_hi <= MAX_DIFFICULTY:
+            raise ConfigError(f"difficulty range [{self.difficulty_lo}, {self.difficulty_hi}] "
+                              f"must be ascending within [0, {MAX_DIFFICULTY}]")
+        if not all(0 <= x < math.inf for x in (self.epsilon, *self.weights)):
+            raise ConfigError(f"epsilon {self.epsilon} and weights {self.weights} "
+                              "must be finite and non-negative")
         if not self.contexts_enabled:
             raise ConfigError("at least one context must be enabled")
         unknown = self.contexts_enabled - ALL_CONTEXTS
@@ -103,44 +82,37 @@ def make_policy(policy_kind: str = "linear", **overrides) -> PolicyConfig:
     return PolicyConfig(policy_kind=policy_kind, **params)
 
 
+def _parse_weights(raw: str, key: str) -> tuple[float, float, float]:
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 3:
+        raise ConfigError(f"{key} must be three comma-separated numbers, got {raw!r}")
+    return tuple(as_float(p, key) for p in parts)  # type: ignore[return-value]
+
+
+def _parse_contexts(raw: str, key: str) -> frozenset[str]:
+    return frozenset(token.strip().lower() for token in raw.split(",") if token.strip())
+
+
+# Policy-file key: (PolicyConfig field, parser). An omitted key keeps the kind's default.
+POLICY_TABLE = {
+    "policy_kind": ("policy_kind", as_str),
+    "score_min": ("score_lo", as_float),
+    "score_max": ("score_hi", as_float),
+    "difficulty_min": ("difficulty_lo", as_int),
+    "difficulty_max": ("difficulty_hi", as_int),
+    "epsilon": ("epsilon", as_float),
+    "weights": ("weights", _parse_weights),
+    "rng_seed": ("rng_seed", as_int),
+    "contexts": ("contexts_enabled", _parse_contexts),
+}
+
+
 def load_policy(path: str | Path) -> PolicyConfig:
     """Load and validate a policy file, filling defaults for omitted keys."""
     doc = parse_kv_file(path)
     if doc.sections:
         raise ConfigError(f"{path}: policy files do not take [sections]")
-    top = doc.top
-    unknown = set(top.values) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown policy keys: {sorted(unknown)}")
-
-    kind = top.get("policy_kind", "linear")
-    overrides: dict = {}
-    if top.get("score_min") is not None:
-        overrides["score_lo"] = as_float(top.get("score_min"), "score_min")
-    if top.get("score_max") is not None:
-        overrides["score_hi"] = as_float(top.get("score_max"), "score_max")
-    if top.get("difficulty_min") is not None:
-        overrides["difficulty_lo"] = as_int(top.get("difficulty_min"), "difficulty_min")
-    if top.get("difficulty_max") is not None:
-        overrides["difficulty_hi"] = as_int(top.get("difficulty_max"), "difficulty_max")
-    if top.get("epsilon") is not None:
-        overrides["epsilon"] = as_float(top.get("epsilon"), "epsilon")
-    if top.get("rng_seed") is not None:
-        overrides["rng_seed"] = as_int(top.get("rng_seed"), "rng_seed")
-    if top.get("weights") is not None:
-        overrides["weights"] = _parse_weights(top.get("weights"))
-    if top.get("contexts") is not None:
-        overrides["contexts_enabled"] = frozenset(
-            token.strip().lower() for token in top.get("contexts").split(",") if token.strip()
-        )
-    return make_policy(kind, **overrides)
-
-
-def _parse_weights(raw: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"weights must be three comma-separated numbers, got {raw!r}")
-    return tuple(as_float(p, "weights") for p in parts)  # type: ignore[return-value]
+    return make_policy(**doc.top.read(POLICY_TABLE, str(path)))
 
 
 def map_difficulty(policy: PolicyConfig, phi: float, rng: random.Random | None = None) -> int:

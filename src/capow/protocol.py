@@ -188,32 +188,40 @@ def write_frame(sock: socket.socket, frame: bytes) -> None:
 
 
 def read_frame(sock: socket.socket) -> bytes:
-    header = _recv_exact(sock, 4)
-    (length,) = struct.unpack(">I", header)
-    if length == 0 or length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} out of bounds")
-    return _recv_exact(sock, length)
+    """Read one length-prefixed frame.
 
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly n bytes; once a recv comes up short, the rest must come within the socket timeout.
-
-    A peer that trickles bytes so holds one read for about twice the
-    timeout, not for a timeout per byte.
+    Its first bytes may take the socket's timeout to come. The rest, length
+    and body, must follow within one more timeout however they are paced, so
+    a peer that trickles bytes holds a frame for at most twice the timeout.
     """
-    chunks = bytearray()
-    started = None
+    timeout = sock.gettimeout()
+    first = sock.recv(4)
+    due = None if timeout is None else time.monotonic() + timeout
+    try:
+        (length,) = struct.unpack(">I", _recv_rest(sock, first, 4, due))
+        if length == 0 or length > MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame length {length} out of bounds")
+        return _recv_rest(sock, sock.recv(length), length, due)
+    finally:
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
+
+
+def _recv_rest(sock: socket.socket, data: bytes, n: int, due: float | None) -> bytes:
+    """Complete a read of n bytes whose first recv gave ``data``; the rest must come by ``due``."""
+    if len(data) == n:
+        return data
+    chunks = bytearray(data)
     while len(chunks) < n:
-        if chunks:
-            timeout = sock.gettimeout()
-            if started is None:
-                started = time.monotonic()
-            elif timeout is not None and time.monotonic() - started > timeout:
-                raise TimeoutError(f"{n - len(chunks)} of {n} bytes still missing after {timeout} s")
-        chunk = sock.recv(n - len(chunks))
-        if not chunk:
+        if not data:
             raise ProtocolError("connection closed mid-frame")
-        chunks.extend(chunk)
+        if due is not None:
+            left = due - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"{n - len(chunks)} of {n} bytes missing at the frame's deadline")
+            sock.settimeout(left)
+        data = sock.recv(n - len(chunks))
+        chunks += data
     return bytes(chunks)
 
 

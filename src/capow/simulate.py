@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import math
 import random
 import statistics
 import threading
@@ -27,7 +28,7 @@ from . import pow_core, synthlog
 from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN, ContextScore
 from .errors import ConfigError
 from .flow_ingest import MINUTES_PER_DAY, ActivityRecord, parse_activity_log
-from .kvconfig import as_bool, as_float, as_int, parse_kv_file
+from .kvconfig import as_bool, as_float, as_int, as_str, parse_kv_file
 from .policy_engine import load_policy
 from .protocol import DEFAULT_QUEUE_CAPACITY, GateServer, Request, SessionOutcome
 from .protocol import client_session as run_client_session
@@ -37,13 +38,6 @@ logger = logging.getLogger(__name__)
 
 ROLES = ("legitimate", "attacker")
 FLOW_KINDS = ("legitimate", "malicious", "replay")
-
-_SCENARIO_KEYS = {
-    "train_log", "eval_log", "policy", "duration_s", "seed", "queue_capacity",
-    "gap_merge_min", "aging_window_days", "ip_attributes",
-    "solve_timeout_s", "expiry_ms",
-}
-_USER_KEYS = {"role", "rate_rps", "requests", "arrival", "flow", "spoof"}
 
 
 @dataclass(frozen=True)
@@ -105,84 +99,80 @@ class SimulationScenario:
             raise ConfigError(f"users {replayers} replay flows but no eval_log is given")
 
 
+def _parse_arrival(raw: str, key: str) -> tuple[float, float]:
+    minutes = [as_float(part, key) for part in raw.split(",")]
+    if len(minutes) > 2:
+        raise ConfigError(f"{key} takes one minute or 'lo, hi', got {raw!r}")
+    return minutes[0], minutes[-1]
+
+
+def _as_path(raw: str, key: str) -> Path | None:
+    return Path(raw) if raw else None
+
+
+def _as_deadline(raw: str, key: str) -> float | None:
+    return as_float(raw, key) if raw else None
+
+
+# Scenario-file key: (SimulationScenario field, parser); an omitted key keeps the
+# field's default. load_scenario reads the required policy and the repeated train_log.
+SCENARIO_TABLE = {
+    "train_log": ("train_logs", None),
+    "policy": ("policy_path", None),
+    "eval_log": ("eval_log", _as_path),
+    "ip_attributes": ("ip_attributes", _as_path),
+    "duration_s": ("duration_s", as_float),
+    "seed": ("seed", as_int),
+    "queue_capacity": ("queue_capacity", as_int),
+    "gap_merge_min": ("gap_merge_min", as_float),
+    "aging_window_days": ("aging_window_days", as_int),
+    "solve_timeout_s": ("solve_timeout_s", _as_deadline),  # empty: no solve deadline
+    "expiry_ms": ("expiry_ms", as_int),
+}
+
+# [user <id>] key: (UserSpec field, parser); role and rate_rps are required.
+USER_TABLE = {
+    "role": ("role", as_str),
+    "rate_rps": ("rate_rps", as_float),
+    "requests": ("requests", as_int),
+    "arrival": ("arrival", _parse_arrival),  # sets arrival_lo and arrival_hi
+    "flow": ("flow_kind", as_str),
+    "spoof": ("spoof", as_bool),
+}
+
+
 def load_scenario(path: str | Path) -> SimulationScenario:
     """Parse and validate a scenario file; paths resolve against its directory."""
     path = Path(path)
     base = path.parent
     doc = parse_kv_file(path)
-
-    unknown = set(doc.top.values) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown scenario keys: {sorted(unknown)}")
-
-    def optional(key: str, parse):
-        # an absent key takes the SimulationScenario field's own default
-        raw = doc.top.get(key)
-        return getattr(SimulationScenario, key) if raw is None else parse(raw, key)
-
-    duration = optional("duration_s", as_float)
+    given = doc.top.read(SCENARIO_TABLE, str(path))
+    duration = given.get("duration_s", SimulationScenario.duration_s)
     users: list[UserSpec] = []
     for section in doc.sections:
         parts = section.name.split(None, 1)
         if len(parts) != 2 or parts[0] != "user":
             raise ConfigError(f"{path}: unexpected section [{section.name}]")
-        bad = set(section.values) - _USER_KEYS
-        if bad:
-            raise ConfigError(f"{path}: [{section.name}] unknown keys: {sorted(bad)}")
-        user_id = parts[1]
-        role = section.require("role")
-        rate = as_float(section.require("rate_rps"), "rate_rps")
-        requests = (
-            as_int(section.get("requests"), "requests")
-            if section.get("requests") is not None
-            else max(1, round(rate * duration))
-        )
-        flow_kind = section.get("flow") or ("legitimate" if role == "legitimate" else "malicious")
-        arrival_raw = section.get("arrival")
-        arrival_lo, arrival_hi = _parse_arrival(arrival_raw if arrival_raw is not None else "720")
-        spoof_raw = section.get("spoof")
-        users.append(
-            UserSpec(
-                user_id=user_id,
-                role=role,
-                rate_rps=rate,
-                requests=requests,
-                arrival_lo=arrival_lo,
-                arrival_hi=arrival_hi,
-                flow_kind=flow_kind,
-                replay_arrival=flow_kind == "replay" and arrival_raw is None,
-                spoof=as_bool(spoof_raw, "spoof") if spoof_raw is not None else False,
-            )
-        )
-
-    ip_attrs = doc.top.get("ip_attributes")
-    eval_log = doc.top.get("eval_log")
-    solve_timeout = doc.top.get("solve_timeout_s")
+        user = section.read(USER_TABLE, f"{path}: [{section.name}]")
+        section.require("role")
+        section.require("rate_rps")
+        arrival = user.pop("arrival", None)
+        user["arrival_lo"], user["arrival_hi"] = arrival or (720.0, 720.0)
+        if not user.get("flow_kind"):  # an omitted or empty flow takes the role's archetype
+            user["flow_kind"] = "legitimate" if user["role"] == "legitimate" else "malicious"
+        user["replay_arrival"] = user["flow_kind"] == "replay" and arrival is None
+        if "requests" not in user:
+            planned = user["rate_rps"] * duration
+            if not math.isfinite(planned):
+                raise ConfigError(f"{path}: [{section.name}]: rate_rps * duration_s overflows")
+            user["requests"] = max(1, round(planned))
+        users.append(UserSpec(user_id=parts[1], **user))
     return SimulationScenario(
         train_logs=tuple(base / p for p in doc.top.get_all("train_log")),
         policy_path=base / doc.top.require("policy"),
         users=tuple(users),
-        duration_s=duration,
-        seed=optional("seed", as_int),
-        queue_capacity=optional("queue_capacity", as_int),
-        gap_merge_min=optional("gap_merge_min", as_float),
-        aging_window_days=optional("aging_window_days", as_int),
-        ip_attributes=base / ip_attrs if ip_attrs else None,
-        eval_log=base / eval_log if eval_log else None,
-        # an empty solve_timeout_s turns the solve deadline off
-        solve_timeout_s=None if solve_timeout == "" else optional("solve_timeout_s", as_float),
-        expiry_ms=optional("expiry_ms", as_int),
+        **{name: base / value if isinstance(value, Path) else value for name, value in given.items()},
     )
-
-
-def _parse_arrival(raw: str) -> tuple[float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) == 1:
-        value = as_float(parts[0], "arrival")
-        return value, value
-    if len(parts) == 2:
-        return as_float(parts[0], "arrival"), as_float(parts[1], "arrival")
-    raise ConfigError(f"arrival takes one minute or 'lo, hi', got {raw!r}")
 
 
 EVENT_COLUMNS = (

@@ -170,6 +170,26 @@ def test_score_refuses_a_bundle_the_gate_cannot_use(workspace, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_score_refuses_an_unreadable_manifest(workspace, capsys):
+    manifest = workspace["models"] / "manifest.json"
+    manifest.write_text(manifest.read_text().rstrip().rstrip("}") + ",}")  # a trailing comma
+    code = main(["score", "--models", str(workspace["models"]), "--policy", str(workspace["policy"]),
+                 "--user", "10.0.0.1", "--arrival", "500", "--features", "900,18,16,25000,620"])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_score_refuses_a_policy_number_it_cannot_price_with(workspace, capsys):
+    policy = workspace["root"] / "broken.kv"
+    base = ["score", "--models", str(workspace["models"]), "--policy", str(policy),
+            "--user", "198.51.100.66", "--arrival", "3", "--features", "8,120,1,800000,64"]
+    for text in ["epsilon: nan", "score_min: nan", "weights: nan, 1, 1", "score_max: inf",
+                 "difficulty_max: 1000", "difficulty_max: " + "9" * 401]:
+        policy.write_text(f"policy_kind: linear_shifted\n{text}\n")
+        assert main(base) == EXIT_USAGE, text
+        assert "configuration error" in capsys.readouterr().err
+
+
 def test_synth_more_legit_users_than_fit_one_day(tmp_path, capsys):
     assert main(["synth", "--out-log", str(tmp_path / "log.csv"), "--legit", "12"]) == EXIT_OK
     assert "wrote" in capsys.readouterr().out

@@ -193,6 +193,20 @@ def test_bundle_refuses_a_field_its_model_refuses(tmp_path, trained, kind, field
         load_bundle(directory)
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda m: json.dumps(m)[:-1] + ",}",
+    lambda m: "[1]",
+    lambda m: json.dumps({**m, "files": {**m["files"], "tam": 7}}),
+    lambda m: json.dumps({**m, "flow_columns": 5}),
+], ids=["trailing-comma", "not-an-object", "file-name-not-a-string", "flow-columns-not-a-list"])
+def test_bundle_refuses_a_manifest_it_cannot_read(tmp_path, trained, rewrite):
+    directory = save_bundle(trained, tmp_path / "models")
+    manifest = directory / "manifest.json"
+    manifest.write_text(rewrite(json.loads(manifest.read_text())))
+    with pytest.raises(ConfigError, match="manifest.json"):
+        load_bundle(directory)
+
+
 def test_contexts_are_the_models_a_bundle_holds(tmp_path, trained):
     directory = save_bundle(trained, tmp_path / "models")
     edit_json(directory / "manifest.json", lambda m: m.update(contexts_enabled=["tam"]))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 
 import pytest
 
 from capow.errors import ConfigError
 from capow.policy_engine import (
+    POLICY_TABLE,
     PolicyConfig,
     load_policy,
     make_policy,
@@ -39,6 +42,25 @@ def test_policy_validation():
         PolicyConfig(contexts_enabled=frozenset())
     with pytest.raises(ConfigError):
         PolicyConfig(contexts_enabled=frozenset({"dabr", "dns"}))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"weights": (math.nan, 1.0, 1.0)},
+    {"weights": (1.0, math.inf, 1.0)},
+    {"epsilon": math.nan},
+    {"score_lo": math.nan},
+    {"score_hi": math.inf},
+    {"difficulty_hi": 65},
+    {"difficulty_hi": 10**400},
+])
+def test_make_policy_refuses_non_finite_numbers_and_levels_above_the_top(overrides):
+    with pytest.raises(ConfigError):
+        make_policy("linear_shifted", **overrides)
+
+
+def test_each_policy_field_is_set_by_exactly_one_file_key():
+    set_by_keys = sorted(name for name, _ in POLICY_TABLE.values())
+    assert set_by_keys == sorted(f.name for f in dataclasses.fields(PolicyConfig))
 
 
 def test_linear_mapping_endpoints_and_rounding():

@@ -484,13 +484,13 @@ def test_second_frame_fuzz_every_record_gets_a_verdict(trained):
         assert {"bad-request", "wrong-solution", "abandoned"} <= reasons
 
 
-def trickle_until_closed(sock: socket.socket, frame: bytes, gap_s: float = 0.2) -> float:
-    """Send ``frame`` one byte per ``gap_s``; return the seconds until the gate closed the connection."""
+def trickle_until_closed(sock: socket.socket, parts, gap_s: float = 0.27) -> float:
+    """Send ``parts`` ``gap_s`` apart; return the seconds until the gate closed the connection."""
     sock.settimeout(gap_s)
     started = time.monotonic()
-    for byte in frame:
+    for part in parts:
         try:
-            sock.sendall(bytes([byte]))
+            sock.sendall(part)
             if sock.recv(1) == b"":
                 return time.monotonic() - started
         except socket.timeout:
@@ -500,19 +500,33 @@ def trickle_until_closed(sock: socket.socket, frame: bytes, gap_s: float = 0.2) 
     raise AssertionError("the gate read the whole trickled frame")
 
 
+def trickles(frame: bytes) -> list[list[bytes]]:
+    """Two pacings of a frame: four pieces, the first of them half the length prefix; and byte by byte."""
+    third = -(-(len(frame) - 2) // 3)
+    return [[frame[:2], *(frame[at:at + third] for at in range(2, len(frame), third))],
+            [frame[at:at + 1] for at in range(len(frame))]]
+
+
+# parts come 0.9 I/O timeouts apart; however they are paced, a frame must end
+# within twice the timeout (0.6 s), plus scheduling slack
+FRAME_BOUND_S = 0.6 + 0.25
+
+
 def test_trickled_request_is_cut_off_after_the_io_timeout(trained):
+    frame = encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW))
     with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
-        with socket.create_connection(gate.address, timeout=10) as sock:
-            frame = encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW))
-            assert trickle_until_closed(sock, frame) < 2.0
+        for parts in trickles(frame):
+            with socket.create_connection(gate.address, timeout=10) as sock:
+                assert trickle_until_closed(sock, parts) < FRAME_BOUND_S
         assert gate.events == []
 
 
 def test_trickled_solution_is_abandoned_after_the_io_timeout(trained):
     with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
-        with socket.create_connection(gate.address, timeout=10) as sock:
-            challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
-            frame = encode_message(solve_challenge_msg(challenge, "10.0.0.1"))
-            assert trickle_until_closed(sock, frame) < 2.0
-        wait_for(lambda: gate.events[-1].admitted is not None)
-        assert verdict(gate.events[-1]) == (False, "abandoned")
+        for pacing in range(2):
+            with socket.create_connection(gate.address, timeout=10) as sock:
+                challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
+                parts = trickles(encode_message(solve_challenge_msg(challenge, "10.0.0.1")))[pacing]
+                assert trickle_until_closed(sock, parts) < FRAME_BOUND_S
+            wait_for(lambda: gate.events[-1].admitted is not None)
+            assert verdict(gate.events[-1]) == (False, "abandoned")

@@ -75,6 +75,16 @@ def test_scenario_validation(tmp_path):
     bad.write_text("train_log: x.csv\npolicy: p.kv\n[intruder u]\nrole: legitimate\nrate_rps: 1\n")
     with pytest.raises(ConfigError):
         load_scenario(bad)  # unknown section
+    bad.write_text("train_log: x.csv\npolicy: p.kv\n[user u]\nrole: legitimate\nrate_rps: 1\nburst: 9\n")
+    with pytest.raises(ConfigError, match=r"unknown keys: \['burst'\]"):
+        load_scenario(bad)  # unknown user key
+
+
+def test_requests_rate_times_duration_that_overflows_is_refused(tmp_path):
+    bad = tmp_path / "bad.kv"
+    bad.write_text("train_log: x.csv\npolicy: p.kv\nduration_s: 1e200\n[user u]\nrole: legitimate\nrate_rps: 1e200\n")
+    with pytest.raises(ConfigError, match="overflows"):
+        load_scenario(bad)
 
 
 def test_user_spec_validation():
