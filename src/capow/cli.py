@@ -27,6 +27,7 @@ from .errors import (
     ProtocolError,
     SchemaError,
 )
+from .kvconfig import as_float
 from .persistence import load_bundle, save_bundle
 from .policy_engine import load_policy
 from .protocol import DEFAULT_QUEUE_CAPACITY, GateServer, Request, client_session
@@ -51,6 +52,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite(flag: str):
+    """The ``type`` of a float option: a non-finite value is a configuration error."""
+    return lambda raw: as_float(raw, flag)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="capow", description="context-aware proof-of-work admission gate")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
@@ -72,9 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ip-attributes", metavar="CSV", help="IP attribute table")
     p.add_argument("--aging-window", type=int, default=DEFAULT_AGING_WINDOW_DAYS, metavar="DAYS",
                    help="temporal model keeps only this many newest log days")
-    p.add_argument("--gap-merge", type=float, default=DEFAULT_GAP_MERGE_MIN, metavar="MIN",
+    p.add_argument("--gap-merge", type=_finite("--gap-merge"), default=DEFAULT_GAP_MERGE_MIN, metavar="MIN",
                    help="arrivals closer than this merge into one interval")
-    p.add_argument("--dabr-delta-max", type=float, default=None, metavar="DIST",
+    p.add_argument("--dabr-delta-max", type=_finite("--dabr-delta-max"), default=None, metavar="DIST",
                    help="IP-distance saturation; default is the unit-cube diagonal")
     p.set_defaults(func=cmd_train)
 
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", metavar="CSV",
                    help="whole request as one CSV row: user,arrival,f1,f2,...")
     p.add_argument("--user", metavar="ID")
-    p.add_argument("--arrival", type=float, metavar="MIN",
+    p.add_argument("--arrival", type=_finite("--arrival"), metavar="MIN",
                    help="arrival time in minutes since midnight")
     p.add_argument("--features", metavar="F1,F2,...",
                    help="raw flow feature values, comma separated")
@@ -104,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--user", required=True, metavar="ID")
-    p.add_argument("--arrival", required=True, type=float, metavar="MIN")
+    p.add_argument("--arrival", required=True, type=_finite("--arrival"), metavar="MIN")
     p.add_argument("--features", required=True, metavar="F1,F2,...")
-    p.add_argument("--timeout", type=float, default=60.0, metavar="S",
+    p.add_argument("--timeout", type=_finite("--timeout"), default=60.0, metavar="S",
                    help="give up solving after this many seconds")
     p.set_defaults(func=cmd_solve)
 
@@ -128,13 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except ConfigError as exc:
         print(f"capow: configuration error: {exc}", file=sys.stderr)
@@ -177,9 +182,12 @@ def _parse_endpoint(raw: str) -> tuple[str, int]:
     if not sep or not host:
         raise ConfigError(f"endpoint must look like host:port, got {raw!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise ConfigError(f"port must be an integer, got {port!r}") from None
+    if not 0 <= number <= 0xFFFF:
+        raise ConfigError(f"port must be in [0, 65535], got {number}")
+    return host, number
 
 
 def _request_from_args(args) -> Request:

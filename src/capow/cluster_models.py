@@ -68,8 +68,8 @@ class CentroidModel:
     scale_i: int = SCORE_MAX
 
     def __post_init__(self) -> None:
-        if self.delta_max <= 0:
-            raise ConfigError(f"delta_max must be positive, got {self.delta_max}")
+        if not 0 < self.delta_max < math.inf:
+            raise ConfigError(f"delta_max must be positive and finite, got {self.delta_max}")
         if any(not math.isfinite(x) for x in self.centroid):
             raise ValueError("centroid contains non-finite values")
 
@@ -108,8 +108,8 @@ class TemporalModel:
     aging_window_days: int = DEFAULT_AGING_WINDOW_DAYS
 
     def __post_init__(self) -> None:
-        if self.delta_max_min <= 0:
-            raise ConfigError("delta_max_min must be positive")
+        if not 0 < self.delta_max_min < math.inf:
+            raise ConfigError(f"delta_max_min must be positive and finite, got {self.delta_max_min}")
         if self.aging_window_days < 1:
             raise ConfigError("aging_window_days must be a positive integer")
         for user, ivs in self.intervals.items():
@@ -223,6 +223,8 @@ class FlowModel:
     def __post_init__(self) -> None:
         if len(self.legit_centroid) != len(self.malicious_centroid):
             raise ValueError("flow centroids have mismatched dimensions")
+        if not all(map(math.isfinite, (*self.legit_centroid, *self.malicious_centroid))):
+            raise ValueError("flow centroids contain non-finite values")
         if euclid_distance(self.legit_centroid, self.malicious_centroid) == 0.0:
             raise DegenerateModelError("legitimate and malicious centroids coincide")
 

@@ -75,6 +75,8 @@ class FeatureScaler:
     def __post_init__(self) -> None:
         if len(self.mins) != len(self.maxs):
             raise SchemaError("scaler min/max dimension mismatch")
+        if not all(map(math.isfinite, (*self.mins, *self.maxs))):
+            raise ValueError("scaler bounds must be finite")
         for lo, hi in zip(self.mins, self.maxs):
             if lo > hi:
                 raise ValueError(f"scaler bound min {lo} > max {hi}")
@@ -272,12 +274,14 @@ class IpAttributeTable:
             raise SchemaError("IP attribute rows do not all match the declared columns")
         self.rows = dict(self.rows)
         self.columns = tuple(self.columns)
-        attributes = tuple(zip(*self.rows.values()))
-        self.scaler = FeatureScaler(mins=tuple(map(min, attributes)), maxs=tuple(map(max, attributes)))
         n = len(self.columns)
         self.fallback = tuple(self.fallback) if self.fallback is not None else (0.5,) * n
         if len(self.fallback) != n:
             raise SchemaError("fallback vector dimension does not match the table")
+        if not all(map(math.isfinite, (*self.fallback, *(x for v in self.rows.values() for x in v)))):
+            raise SchemaError("IP attribute values must be finite")
+        attributes = tuple(zip(*self.rows.values()))
+        self.scaler = FeatureScaler(mins=tuple(map(min, attributes)), maxs=tuple(map(max, attributes)))
 
     @classmethod
     def from_csv(cls, path: str | Path, fallback: Sequence[float] | None = None) -> "IpAttributeTable":

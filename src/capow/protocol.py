@@ -23,7 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 from . import pow_core
 from .cluster_models import ContextScore, fuse_scores, score_dabr, score_flow, score_tam
@@ -31,7 +31,7 @@ from .errors import ConfigError, ProtocolError, SchemaError, SolveTimeout
 from .flow_ingest import extract_context
 from .persistence import ModelBundle
 from .policy_engine import PolicyConfig, map_difficulty, request_rng
-from .pow_core import Challenge, ChallengeRegistry, Solution
+from .pow_core import Challenge, ChallengeRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -71,28 +71,45 @@ class Request:
     flow_features: tuple[float, ...]
 
 
+# A fixed-size message's LAYOUT packs its fields, in declaration order, after its TYPE byte.
+
+
 @dataclass(frozen=True)
 class ChallengeMsg:
     """Payload: difficulty u8 || issue_ms u64be || seed 16B || expiry_ms u32be."""
 
+    TYPE: ClassVar[MsgType] = MsgType.CHALLENGE
+    LAYOUT: ClassVar[struct.Struct] = struct.Struct(f">BQ{pow_core.SEED_BYTES}sI")
     difficulty: int
     issue_ms: int
     seed: bytes
     expiry_ms: int
+
+    def __post_init__(self) -> None:
+        if len(self.seed) != pow_core.SEED_BYTES:  # struct would pad a short seed
+            raise ProtocolError("bad seed length")
 
 
 @dataclass(frozen=True)
 class SolutionMsg:
     """Payload: seed digest 32B || nonce u64be."""
 
+    TYPE: ClassVar[MsgType] = MsgType.SOLUTION
+    LAYOUT: ClassVar[struct.Struct] = struct.Struct(">32sQ")
     seed_digest: bytes
     nonce: int
+
+    def __post_init__(self) -> None:
+        if len(self.seed_digest) != 32:  # struct would pad a short digest
+            raise ProtocolError("seed digest must be 32 bytes")
 
 
 @dataclass(frozen=True)
 class AcceptMsg:
     """Payload: queue position u32be."""
 
+    TYPE: ClassVar[MsgType] = MsgType.ACCEPT
+    LAYOUT: ClassVar[struct.Struct] = struct.Struct(">I")
     queue_position: int
 
 
@@ -100,47 +117,33 @@ class AcceptMsg:
 class RejectMsg:
     """Payload: reason code u8."""
 
+    TYPE: ClassVar[MsgType] = MsgType.REJECT
+    LAYOUT: ClassVar[struct.Struct] = struct.Struct(">B")
     reason: RejectReason
 
 
 Message = Request | ChallengeMsg | SolutionMsg | AcceptMsg | RejectMsg
+_FIXED_CLASSES = (ChallengeMsg, SolutionMsg, AcceptMsg, RejectMsg)
+_FIXED_MESSAGES = {cls.TYPE: cls for cls in _FIXED_CLASSES}
+_LENGTH = struct.Struct(">I")
+_REQUEST_HEAD = struct.Struct(">BH")
 
 
 def encode_message(msg: Message) -> bytes:
     """Serialize a message into a complete length-prefixed frame."""
-    if isinstance(msg, Request):
-        uid = msg.user_id.encode("utf-8")
-        if len(uid) > 0xFFFF:
-            raise ProtocolError("user id too long")
-        if len(msg.flow_features) > 0xFFFF:
-            raise ProtocolError("flow vector too long")
-        body = (
-            bytes([MsgType.REQUEST])
-            + struct.pack(">H", len(uid))
-            + uid
-            + struct.pack(">d", msg.arrival_min)
-            + struct.pack(">H", len(msg.flow_features))
-            + struct.pack(f">{len(msg.flow_features)}d", *msg.flow_features)
-        )
-    elif isinstance(msg, ChallengeMsg):
-        if not 0 <= msg.difficulty <= 0xFF:
-            raise ProtocolError("difficulty does not fit in one byte")
-        if len(msg.seed) != pow_core.SEED_BYTES:
-            raise ProtocolError("bad seed length")
-        body = bytes([MsgType.CHALLENGE]) + struct.pack(
-            f">BQ{pow_core.SEED_BYTES}sI", msg.difficulty, msg.issue_ms, msg.seed, msg.expiry_ms
-        )
-    elif isinstance(msg, SolutionMsg):
-        if len(msg.seed_digest) != 32:
-            raise ProtocolError("seed digest must be 32 bytes")
-        body = bytes([MsgType.SOLUTION]) + msg.seed_digest + struct.pack(">Q", msg.nonce)
-    elif isinstance(msg, AcceptMsg):
-        body = bytes([MsgType.ACCEPT]) + struct.pack(">I", msg.queue_position)
-    elif isinstance(msg, RejectMsg):
-        body = bytes([MsgType.REJECT, int(msg.reason)])
-    else:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
-    return struct.pack(">I", len(body)) + body
+    try:
+        if isinstance(msg, Request):
+            uid = msg.user_id.encode("utf-8")
+            n = len(msg.flow_features)
+            body = (_REQUEST_HEAD.pack(MsgType.REQUEST, len(uid)) + uid
+                    + struct.pack(f">dH{n}d", msg.arrival_min, n, *msg.flow_features))
+        elif isinstance(msg, _FIXED_CLASSES):
+            body = bytes([msg.TYPE]) + msg.LAYOUT.pack(*vars(msg).values())
+        else:
+            raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    except struct.error as exc:  # a field out of its range, or an id or vector past 0xFFFF
+        raise ProtocolError(f"cannot encode {type(msg).__name__}: {exc}") from None
+    return _LENGTH.pack(len(body)) + body
 
 
 def decode_message(body: bytes) -> Message:
@@ -151,35 +154,16 @@ def decode_message(body: bytes) -> Message:
         msg_type = MsgType(body[0])
     except ValueError:
         raise ProtocolError(f"unknown message type {body[0]}") from None
-    payload = body[1:]
     try:
         if msg_type is MsgType.REQUEST:
-            (id_len,) = struct.unpack_from(">H", payload, 0)
-            uid = payload[2 : 2 + id_len].decode("utf-8")
-            offset = 2 + id_len
-            arrival, count = struct.unpack_from(">dH", payload, offset)
-            offset += 10
-            features = struct.unpack_from(f">{count}d", payload, offset)
-            if offset + 8 * count != len(payload):
-                raise ProtocolError("trailing bytes in REQUEST")
-            return Request(user_id=uid, arrival_min=arrival, flow_features=tuple(features))
-        if msg_type is MsgType.CHALLENGE:
-            difficulty, issue_ms, seed, expiry_ms = struct.unpack(
-                f">BQ{pow_core.SEED_BYTES}sI", payload
-            )
-            return ChallengeMsg(difficulty=difficulty, issue_ms=issue_ms, seed=seed, expiry_ms=expiry_ms)
-        if msg_type is MsgType.SOLUTION:
-            digest, nonce = struct.unpack(">32sQ", payload)
-            return SolutionMsg(seed_digest=digest, nonce=nonce)
-        if msg_type is MsgType.ACCEPT:
-            (position,) = struct.unpack(">I", payload)
-            return AcceptMsg(queue_position=position)
-        (code,) = struct.unpack(">B", payload)
-        try:
-            return RejectMsg(reason=RejectReason(code))
-        except ValueError:
-            raise ProtocolError(f"unknown reject reason {code}") from None
-    except (struct.error, UnicodeDecodeError) as exc:
+            end = 3 + _REQUEST_HEAD.unpack_from(body)[1]
+            arrival, n = struct.unpack_from(">dH", body, end)
+            features = struct.unpack(f">{n}d", body[end + 10:])  # a trailing byte fails here
+            return Request(body[3:end].decode("utf-8"), arrival, features)
+        cls = _FIXED_MESSAGES[msg_type]
+        fields = cls.LAYOUT.unpack(body[1:])
+        return RejectMsg(RejectReason(*fields)) if cls is RejectMsg else cls(*fields)
+    except (struct.error, ValueError) as exc:
         raise ProtocolError(f"malformed {msg_type.name} payload: {exc}") from None
 
 
@@ -187,42 +171,29 @@ def write_frame(sock: socket.socket, frame: bytes) -> None:
     sock.sendall(frame)
 
 
-def read_frame(sock: socket.socket) -> bytes:
-    """Read one length-prefixed frame.
+def read_frame(sock: socket.socket, due: float | None = None) -> bytes:
+    """Read one length-prefixed frame and return its body.
 
-    Its first bytes may take the socket's timeout to come. The rest, length
-    and body, must follow within one more timeout however they are paced, so
-    a peer that trickles bytes holds a frame for at most twice the timeout.
+    Each ``recv`` waits at most the socket's timeout, and none starts once
+    ``due`` (a :func:`time.monotonic` reading) has passed. So however a
+    peer paces its bytes, the read ends within one timeout after ``due``.
     """
-    timeout = sock.gettimeout()
-    first = sock.recv(4)
-    due = None if timeout is None else time.monotonic() + timeout
-    try:
-        (length,) = struct.unpack(">I", _recv_rest(sock, first, 4, due))
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame length {length} out of bounds")
-        return _recv_rest(sock, sock.recv(length), length, due)
-    finally:
-        if sock.gettimeout() != timeout:
-            sock.settimeout(timeout)
+    (length,) = _LENGTH.unpack(_recv_exactly(sock, _LENGTH.size, due))
+    if length == 0 or length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length {length} out of bounds")
+    return _recv_exactly(sock, length, due)
 
 
-def _recv_rest(sock: socket.socket, data: bytes, n: int, due: float | None) -> bytes:
-    """Complete a read of n bytes whose first recv gave ``data``; the rest must come by ``due``."""
-    if len(data) == n:
-        return data
-    chunks = bytearray(data)
-    while len(chunks) < n:
-        if not data:
+def _recv_exactly(sock: socket.socket, n: int, due: float | None) -> bytes:
+    data = bytearray()
+    while len(data) < n:
+        if due is not None and time.monotonic() >= due:
+            raise TimeoutError(f"{n - len(data)} of {n} bytes missing at the session's deadline")
+        chunk = sock.recv(n - len(data))
+        if not chunk:
             raise ProtocolError("connection closed mid-frame")
-        if due is not None:
-            left = due - time.monotonic()
-            if left <= 0:
-                raise TimeoutError(f"{n - len(chunks)} of {n} bytes missing at the frame's deadline")
-            sock.settimeout(left)
-        data = sock.recv(n - len(chunks))
-        chunks += data
-    return bytes(chunks)
+        data += chunk
+    return bytes(data)
 
 
 class ServerQueue:
@@ -405,9 +376,12 @@ class GateServer:
             def handle(self) -> None:
                 sock: socket.socket = self.request
                 sock.settimeout(gate._io_timeout_s)
+                # every recv waits one timeout at most and none starts after this: a session
+                # ends within twice the timeout of its accept, however its peer paces bytes
+                due = time.monotonic() + gate._io_timeout_s
                 session = None
                 try:
-                    first = decode_message(read_frame(sock))
+                    first = decode_message(read_frame(sock, due))
                     if not isinstance(first, Request):
                         write_frame(sock, encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST)))
                         return
@@ -415,7 +389,7 @@ class GateServer:
                     write_frame(sock, encode_message(reply))
                     if session is None:
                         return
-                    frame = read_frame(sock)
+                    frame = read_frame(sock, due)
                     try:
                         second = decode_message(frame)
                     except ProtocolError:
@@ -490,58 +464,36 @@ def client_session(
     """Run one full admission round trip against a gate server.
 
     Latency is wall time from sending REQUEST to receiving the final
-    verdict. Transport failures and solver timeouts yield non-admitted
-    outcomes with reasons ``transport`` and ``abandoned``.
+    verdict. A solver timeout yields reason ``abandoned``; a transport
+    failure, or any reply the client cannot use, yields ``transport``.
     """
     started = time.perf_counter()
-    difficulty = None
-    digest_hex = None
-    attempts = 0
+    admitted, reason, attempts, difficulty, digest_hex = False, None, 0, None, None
     try:
         with socket.create_connection(address, timeout=io_timeout_s) as sock:
-            sock.settimeout(io_timeout_s)
             started = time.perf_counter()
             write_frame(sock, encode_message(request))
             reply = decode_message(read_frame(sock))
+            if isinstance(reply, ChallengeMsg):
+                try:
+                    challenge = Challenge(user_id=request.user_id.encode("utf-8"), issue_ms=reply.issue_ms,
+                                          seed=reply.seed, difficulty=reply.difficulty,
+                                          expiry_ms=reply.expiry_ms)
+                except ValueError as exc:  # e.g. a difficulty above pow_core.MAX_DIFFICULTY
+                    raise ProtocolError(f"unusable CHALLENGE: {exc}") from None
+                difficulty, digest_hex = reply.difficulty, challenge.seed_digest().hex()
+                solution = pow_core.solve(challenge, deadline_s=solve_deadline_s)
+                attempts = solution.attempts
+                write_frame(sock, encode_message(SolutionMsg(solution.seed_digest, solution.nonce)))
+                reply = decode_message(read_frame(sock))
+                admitted = isinstance(reply, AcceptMsg)
             if isinstance(reply, RejectMsg):
-                return _outcome(request, False, reply.reason.label, started, attempts, difficulty, digest_hex)
-            if not isinstance(reply, ChallengeMsg):
-                raise ProtocolError(f"expected CHALLENGE, got {type(reply).__name__}")
-            difficulty = reply.difficulty
-            challenge = Challenge(
-                user_id=request.user_id.encode("utf-8"),
-                issue_ms=reply.issue_ms,
-                seed=reply.seed,
-                difficulty=reply.difficulty,
-                expiry_ms=reply.expiry_ms,
-            )
-            digest_hex = challenge.seed_digest().hex()
-            try:
-                solution: Solution = pow_core.solve(challenge, deadline_s=solve_deadline_s)
-            except SolveTimeout:
-                return _outcome(request, False, ABANDONED, started, attempts, difficulty, digest_hex)
-            attempts = solution.attempts
-            write_frame(
-                sock,
-                encode_message(SolutionMsg(seed_digest=solution.seed_digest, nonce=solution.nonce)),
-            )
-            final = decode_message(read_frame(sock))
-            if isinstance(final, AcceptMsg):
-                return _outcome(request, True, None, started, attempts, difficulty, digest_hex)
-            if isinstance(final, RejectMsg):
-                return _outcome(request, False, final.reason.label, started, attempts, difficulty, digest_hex)
-            raise ProtocolError(f"expected verdict, got {type(final).__name__}")
+                reason = reply.reason.label
+            elif not admitted:
+                raise ProtocolError(f"unexpected {type(reply).__name__}")
+    except SolveTimeout:
+        reason = ABANDONED
     except (OSError, ProtocolError):
-        return _outcome(request, False, "transport", started, attempts, difficulty, digest_hex)
-
-
-def _outcome(request, admitted, reason, started, attempts, difficulty, digest_hex) -> SessionOutcome:
-    return SessionOutcome(
-        user_id=request.user_id,
-        admitted=admitted,
-        reason=reason,
-        latency_ms=(time.perf_counter() - started) * 1000.0,
-        attempts=attempts,
-        difficulty=difficulty,
-        seed_digest=digest_hex,
-    )
+        reason = "transport"
+    latency_ms = (time.perf_counter() - started) * 1000.0
+    return SessionOutcome(request.user_id, admitted, reason, latency_ms, attempts, difficulty, digest_hex)

@@ -418,6 +418,10 @@ def difficulty_sweep(
     difficulties: Sequence[int] | None = None,
 ) -> list[SweepRow]:
     """Median wall-clock solve time per difficulty level over fresh puzzles."""
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    if not 0 <= max_difficulty <= pow_core.MAX_DIFFICULTY:
+        raise ConfigError(f"max difficulty must be in [0, {pow_core.MAX_DIFFICULTY}], got {max_difficulty}")
     levels = list(difficulties) if difficulties is not None else list(range(max_difficulty + 1))
     rng = random.Random(seed)
     rows = []

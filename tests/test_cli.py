@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import socket
 import struct
 import subprocess
@@ -9,7 +11,7 @@ import time
 
 import pytest
 
-from capow.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from capow.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from capow.persistence import load_bundle
 from capow.policy_engine import load_policy
 from capow.protocol import (
@@ -218,6 +220,67 @@ def test_report_sweep(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "difficulty,trials,median_solve_s,mean_attempts"
     assert len(lines) == 6  # header + difficulties 0..4
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-2"],
+                                   ["--max-difficulty", "65"], ["--max-difficulty", "-1"]],
+                         ids=["no-trials", "negative-trials", "difficulty-over-64", "negative-difficulty"])
+def test_report_refuses_a_sweep_it_cannot_run(capsys, flags):
+    assert main(["report", *flags]) == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_serve_refuses_a_port_past_65535(workspace, capsys):
+    code = main(["serve", "--models", str(workspace["models"]),
+                 "--policy", str(workspace["policy"]), "--listen", "127.0.0.1:70000"])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--gap-merge", "--dabr-delta-max"])
+def test_train_refuses_a_non_finite_flag(workspace, capsys, flag, value):
+    code = main(["train", "--log", str(workspace["log"]), "--ip-attributes", str(workspace["ip"]),
+                 "--out", str(workspace["root"] / "retrained"), flag, value])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+    assert not (workspace["root"] / "retrained").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_train_refuses_a_non_finite_ip_attribute(workspace, capsys, cell):
+    header, first, *rest = workspace["ip"].read_text().splitlines()
+    cells = first.split(",")
+    cells[1] = cell
+    feed = workspace["root"] / "ip_bad.csv"
+    feed.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    code = main(["train", "--log", str(workspace["log"]), "--ip-attributes", str(feed),
+                 "--out", str(workspace["root"] / "retrained")])
+    assert code == EXIT_DATA
+    assert "IP attribute values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+def test_score_refuses_a_non_finite_model_number(workspace, capsys, value):
+    dabr = workspace["models"] / "dabr.json"
+    dabr.write_text(json.dumps({**json.loads(dabr.read_text()), "delta_max": value}))
+    code = main(["score", "--models", str(workspace["models"]), "--policy", str(workspace["policy"]),
+                 "--user", "198.51.100.66", "--arrival", "3", "--features", "8,120,1,800000,64"])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_no_option_parses_a_bare_float():
+    # float() takes "nan" and "inf"; each float option parses through the finite check
+    parsers, bare = [build_parser()], []
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if action.type is float:
+                bare.append(f"{parser.prog} {action.option_strings}")
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert bare == []
 
 
 def test_serve_and_solve_subprocess(workspace):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -189,6 +190,32 @@ def test_bundle_refuses_a_file_of_another_kind_than_its_slot(tmp_path, trained):
 def test_bundle_refuses_a_field_its_model_refuses(tmp_path, trained, kind, field, value):
     directory = save_bundle(trained, tmp_path / "models")
     edit_json(directory / f"{kind}.json", lambda doc: doc.update({field: value}))
+    with pytest.raises(ConfigError, match=f"{kind}.json: unusable {kind} model"):
+        load_bundle(directory)
+
+
+def first_number_to(value, x):
+    """``value`` with its first number, at any depth, replaced by ``x``."""
+    if isinstance(value, dict):
+        key = next(iter(value))
+        return {**value, key: first_number_to(value[key], x)}
+    if isinstance(value, list):
+        return [first_number_to(value[0], x), *value[1:]]
+    return x
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("kind, field", [
+    ("scaler", "mins"), ("scaler", "maxs"),
+    ("dabr", "centroid"), ("dabr", "delta_max"),
+    ("tam", "delta_max_min"),
+    ("flow", "legit_centroid"), ("flow", "malicious_centroid"),
+    ("ip_table", "rows"), ("ip_table", "fallback"),
+])
+def test_bundle_refuses_a_non_finite_model_number(tmp_path, trained, kind, field, x):
+    directory = save_bundle(trained, tmp_path / "models")
+    edit_json(directory / f"{kind}.json", lambda doc: doc.update({field: first_number_to(doc[field], x)}))
+    assert ("NaN" if math.isnan(x) else "Infinity") in (directory / f"{kind}.json").read_text()
     with pytest.raises(ConfigError, match=f"{kind}.json: unusable {kind} model"):
         load_bundle(directory)
 

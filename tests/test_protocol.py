@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from capow import cli
 from capow.errors import ConfigError, ProtocolError
 from capow.policy_engine import make_policy
 from capow.pow_core import solve
@@ -85,6 +86,26 @@ def test_solution_accept_reject_round_trips():
     for reason in RejectReason:
         rej = RejectMsg(reason=reason)
         assert decode_message(body(encode_message(rej))) == rej
+
+
+# One frame per message type, recorded from the codec before its layouts were tabled.
+GOLDEN_FRAMES = [
+    (Request("10.0.0.1·é", 130.5, (1.5, -2.25)),
+     "0000002901000c31302e302e302e31c2b7c3a9406050000000000000023ff8000000000000c002000000000000"),
+    (ChallengeMsg(difficulty=18, issue_ms=1_700_000_000_123, seed=bytes(range(16)), expiry_ms=30000),
+     "0000001e02120000018bcfe5687b000102030405060708090a0b0c0d0e0f00007530"),
+    (SolutionMsg(seed_digest=bytes(range(32)), nonce=2**40 + 7),
+     "0000002903000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0000010000000007"),
+    (AcceptMsg(queue_position=7), "000000050400000007"),
+    *((RejectMsg(reason), f"0000000205{reason:02x}") for reason in RejectReason),
+]
+
+
+@pytest.mark.parametrize("msg,frame_hex", GOLDEN_FRAMES)
+def test_golden_frames(msg, frame_hex):
+    # a round trip cannot see a layout that changed in encode and decode at once
+    assert encode_message(msg).hex() == frame_hex
+    assert decode_message(bytes.fromhex(frame_hex)[4:]) == msg
 
 
 def test_decode_rejects_malformed_frames():
@@ -370,6 +391,43 @@ def test_client_session_transport_failure():
     assert outcome.reason == "transport"
 
 
+def one_shot_gate(replies: list[bytes]) -> tuple[str, int]:
+    """A listener for one connection: it reads a frame before it sends each of ``replies``, then closes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        with listener, listener.accept()[0] as conn:
+            conn.settimeout(10)
+            for reply in replies:
+                read_frame(conn)
+                conn.sendall(reply)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener.getsockname()
+
+
+def challenge_frame(difficulty: int) -> bytes:
+    return encode_message(ChallengeMsg(difficulty=difficulty, issue_ms=1, seed=bytes(16), expiry_ms=30000))
+
+
+@pytest.mark.parametrize("replies", [
+    [challenge_frame(200)],  # a difficulty no Challenge can hold
+    [encode_message(AcceptMsg(queue_position=1))],  # a verdict before any puzzle
+    [challenge_frame(0), challenge_frame(0)],  # a second puzzle where the verdict belongs
+    [challenge_frame(0)[:9]],  # a torn frame
+], ids=["difficulty-200", "accept-first", "challenge-second", "torn-frame"])
+def test_a_reply_the_client_cannot_use_reads_transport(replies, capsys):
+    request = Request("10.0.0.1", 500.0, (1.0,))
+    outcome = client_session(request, one_shot_gate(replies), io_timeout_s=10)
+    assert (outcome.admitted, outcome.reason) == (False, "transport")
+
+    host, port = one_shot_gate(replies)
+    code = cli.main(["solve", "--host", host, "--port", str(port), "--user", "10.0.0.1",
+                     "--arrival", "500", "--features", "1"])
+    assert code == cli.EXIT_RUNTIME
+    assert "no usable reply from the gate" in capsys.readouterr().err
+
+
 def test_concurrent_sessions(trained):
     import threading
 
@@ -507,9 +565,10 @@ def trickles(frame: bytes) -> list[list[bytes]]:
             [frame[at:at + 1] for at in range(len(frame))]]
 
 
-# parts come 0.9 I/O timeouts apart; however they are paced, a frame must end
-# within twice the timeout (0.6 s), plus scheduling slack
-FRAME_BOUND_S = 0.6 + 0.25
+# parts come 0.9 I/O timeouts apart, so no single recv waits out the timeout; however
+# they are paced, a session must end within twice the timeout (0.6 s) of its accept,
+# plus scheduling slack
+SESSION_BOUND_S = 0.6 + 0.25
 
 
 def test_trickled_request_is_cut_off_after_the_io_timeout(trained):
@@ -517,7 +576,7 @@ def test_trickled_request_is_cut_off_after_the_io_timeout(trained):
     with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
         for parts in trickles(frame):
             with socket.create_connection(gate.address, timeout=10) as sock:
-                assert trickle_until_closed(sock, parts) < FRAME_BOUND_S
+                assert trickle_until_closed(sock, parts) < SESSION_BOUND_S
         assert gate.events == []
 
 
@@ -527,6 +586,32 @@ def test_trickled_solution_is_abandoned_after_the_io_timeout(trained):
             with socket.create_connection(gate.address, timeout=10) as sock:
                 challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
                 parts = trickles(encode_message(solve_challenge_msg(challenge, "10.0.0.1")))[pacing]
-                assert trickle_until_closed(sock, parts) < FRAME_BOUND_S
+                assert trickle_until_closed(sock, parts) < SESSION_BOUND_S
             wait_for(lambda: gate.events[-1].admitted is not None)
             assert verdict(gate.events[-1]) == (False, "abandoned")
+
+
+def test_a_paced_session_ends_within_twice_the_io_timeout(trained):
+    # each frame goes as its first two bytes, then the rest, every part 0.27 s after the
+    # last: each recv returns within the timeout, yet the session must not outlast 0.6 s
+    replies = []
+    with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            started = time.monotonic()
+            frame = encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+            while frame is not None:
+                for part in (frame[:2], frame[2:]):
+                    time.sleep(0.27)
+                    sock.sendall(part)
+                try:
+                    reply = decode_message(read_frame(sock))
+                except (ProtocolError, OSError):
+                    break
+                replies.append(reply)
+                frame = None
+                if isinstance(reply, ChallengeMsg):
+                    frame = encode_message(solve_challenge_msg(reply, "10.0.0.1"))
+            closed_after = time.monotonic() - started
+        assert replies == []
+        assert closed_after < SESSION_BOUND_S
+        assert gate.events == []
