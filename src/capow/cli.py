@@ -27,7 +27,7 @@ from .errors import (
     ProtocolError,
     SchemaError,
 )
-from .kvconfig import as_float
+from .kvconfig import as_float, as_int
 from .persistence import load_bundle, save_bundle
 from .policy_engine import load_policy
 from .protocol import DEFAULT_QUEUE_CAPACITY, GateServer, Request, client_session
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="request admission from a gate and solve its puzzle")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port, required=True)
     p.add_argument("--user", required=True, metavar="ID")
     p.add_argument("--arrival", required=True, type=_finite("--arrival"), metavar="MIN")
     p.add_argument("--features", required=True, metavar="F1,F2,...")
@@ -177,17 +177,19 @@ def _check_arrival(arrival: float) -> float:
     return arrival
 
 
+def _port(raw: str) -> int:
+    """The ``type`` of a port option: an integer in [0, 65535], else a configuration error."""
+    number = as_int(raw, "port")
+    if not 0 <= number <= 0xFFFF:
+        raise ConfigError(f"port must be in [0, 65535], got {number}")
+    return number
+
+
 def _parse_endpoint(raw: str) -> tuple[str, int]:
     host, sep, port = raw.rpartition(":")
     if not sep or not host:
         raise ConfigError(f"endpoint must look like host:port, got {raw!r}")
-    try:
-        number = int(port)
-    except ValueError:
-        raise ConfigError(f"port must be an integer, got {port!r}") from None
-    if not 0 <= number <= 0xFFFF:
-        raise ConfigError(f"port must be in [0, 65535], got {number}")
-    return host, number
+    return host, _port(port)
 
 
 def _request_from_args(args) -> Request:

@@ -75,9 +75,7 @@ class CentroidModel:
 
 
 def train_dabr(
-    malicious_ip_attributes: Sequence[Sequence[float]],
-    delta_max: float | None = None,
-    scale_i: int = SCORE_MAX,
+    malicious_ip_attributes: Sequence[Sequence[float]], delta_max: float | None = None
 ) -> CentroidModel:
     """Fit the malicious-IP centroid.
 
@@ -87,7 +85,7 @@ def train_dabr(
     centroid = _mean_vector(malicious_ip_attributes)
     if delta_max is None:
         delta_max = math.sqrt(len(centroid))
-    return CentroidModel(centroid=centroid, delta_max=delta_max, scale_i=scale_i)
+    return CentroidModel(centroid=centroid, delta_max=delta_max)
 
 
 def score_dabr(model: CentroidModel, ip_attributes: Sequence[float]) -> float:
@@ -126,7 +124,6 @@ def train_tam(
     records: Iterable[ActivityRecord],
     gap_merge_min: float = DEFAULT_GAP_MERGE_MIN,
     aging_window_days: int = DEFAULT_AGING_WINDOW_DAYS,
-    delta_max_min: float = TAM_DELTA_MAX_MIN,
 ) -> TemporalModel:
     """Cluster each user's arrival minutes into activity intervals.
 
@@ -134,27 +131,21 @@ def train_tam(
     day index present) contribute; older logs are aged out. Arrivals at
     most ``gap_merge_min`` minutes apart merge into one interval.
     """
+    if not 0.0 <= gap_merge_min < math.inf:
+        raise ConfigError(f"gap_merge_min must be non-negative and finite, got {gap_merge_min}")
     records = list(records)
     if not records:
         raise EmptyTrainingSetError("cannot train the temporal model on zero records")
-    if aging_window_days < 1:
-        raise ConfigError("aging_window_days must be a positive integer")
     newest = max(r.day_index for r in records)
     cutoff = newest - aging_window_days
     by_user: dict[str, list[float]] = {}
     for rec in records:
         if rec.day_index > cutoff:
             by_user.setdefault(rec.user_id, []).append(rec.timestamp_min)
-    if not by_user:
-        raise EmptyTrainingSetError("aging window excludes every record")
     intervals = {
         user: merge_arrivals(times, gap_merge_min) for user, times in by_user.items()
     }
-    return TemporalModel(
-        intervals=intervals,
-        delta_max_min=delta_max_min,
-        aging_window_days=aging_window_days,
-    )
+    return TemporalModel(intervals=intervals, aging_window_days=aging_window_days)
 
 
 def merge_arrivals(arrival_minutes: Sequence[float], gap_merge_min: float) -> tuple[Interval, ...]:

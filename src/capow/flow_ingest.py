@@ -53,6 +53,10 @@ class ActivityRecord:
             raise ValueError(f"timestamp_min {self.timestamp_min} outside [0, {MINUTES_PER_DAY})")
         if self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}")
+        if not self.user_id:
+            raise ValueError("user_id is empty")
+        if not all(map(math.isfinite, self.flow_features)):
+            raise ValueError("flow features must be finite")
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,6 @@ class ParsedLog:
     records: tuple[ActivityRecord, ...]
     skipped_rows: int
     flow_columns: tuple[str, ...]
-    path: str
 
 
 @dataclass(frozen=True)
@@ -103,19 +106,14 @@ class FeatureScaler:
         return tuple(out)
 
 
-def parse_activity_log(
-    path: str | Path,
-    schema: Sequence[str] | None = None,
-    *,
-    day_index: int = 0,
-) -> ParsedLog:
+def parse_activity_log(path: str | Path, *, day_index: int = 0) -> ParsedLog:
     """Parse a CSV activity log into records.
 
-    ``schema`` is the expected column-name list; the file header must match
-    it exactly. Pass ``None`` to adopt the file's own header. Malformed rows
-    are skipped and counted; more than 50% malformed raises
-    :class:`CorruptLogError`. ``day_index`` applies to every row unless the
-    schema carries a ``day`` column.
+    The file's own header names its columns. A row whose width differs
+    from the header's, or that :class:`ActivityRecord` refuses, is skipped
+    and counted; more than 50% malformed raises :class:`CorruptLogError`.
+    ``day_index`` applies to every row unless the log carries a ``day``
+    column.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -125,10 +123,6 @@ def parse_activity_log(
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
-        if schema is not None:
-            declared = [s.strip() for s in schema]
-            if header != declared:
-                raise SchemaError(f"{path}: header {header} does not match declared schema {declared}")
         _validate_schema(header, path)
 
         col_index = {name: i for i, name in enumerate(header)}
@@ -153,7 +147,7 @@ def parse_activity_log(
         raise CorruptLogError(f"{path}: {skipped}/{total} rows malformed")
     if skipped:
         logger.warning("%s: skipped %d of %d malformed rows", path, skipped, total)
-    return ParsedLog(records=tuple(records), skipped_rows=skipped, flow_columns=flow_columns, path=str(path))
+    return ParsedLog(records=tuple(records), skipped_rows=skipped, flow_columns=flow_columns)
 
 
 def _validate_schema(header: Sequence[str], path: Path) -> None:
@@ -168,49 +162,26 @@ def _parse_row(row, header, col_index, flow_idx, day_col, default_day) -> Activi
     if len(row) != len(header):
         return None
     try:
-        timestamp = float(row[col_index["timestamp"]])
-        features = tuple(float(row[i]) for i in flow_idx)
-        day = int(row[day_col]) if day_col is not None else default_day
+        return ActivityRecord(
+            user_id=row[col_index["user_id"]].strip(),
+            timestamp_min=float(row[col_index["timestamp"]]),
+            day_index=int(row[day_col]) if day_col is not None else default_day,
+            flow_features=tuple(float(row[i]) for i in flow_idx),
+            label=row[col_index["label"]].strip().lower(),
+        )
     except ValueError:
         return None
-    if not 0.0 <= timestamp < MINUTES_PER_DAY:
-        return None
-    if any(x != x or x in (float("inf"), float("-inf")) for x in features):
-        return None
-    label = row[col_index["label"]].strip().lower()
-    if label not in LABELS:
-        return None
-    user_id = row[col_index["user_id"]].strip()
-    if not user_id:
-        return None
-    return ActivityRecord(
-        user_id=user_id,
-        timestamp_min=timestamp,
-        day_index=day,
-        flow_features=features,
-        label=label,
-    )
 
 
-def fit_scaler(records: Iterable[ActivityRecord]) -> FeatureScaler:
-    """Compute per-dimension min/max over all flow feature vectors."""
-    records = list(records)
-    if not records:
-        raise EmptyTrainingSetError("cannot fit a scaler on zero records")
-    dim = len(records[0].flow_features)
-    mins = list(records[0].flow_features)
-    maxs = list(records[0].flow_features)
-    for rec in records[1:]:
-        if len(rec.flow_features) != dim:
-            raise SchemaError(
-                f"inconsistent flow dimensions: {len(rec.flow_features)} vs {dim}"
-            )
-        for j, x in enumerate(rec.flow_features):
-            if x < mins[j]:
-                mins[j] = x
-            if x > maxs[j]:
-                maxs[j] = x
-    return FeatureScaler(mins=tuple(mins), maxs=tuple(maxs))
+def fit_scaler(vectors: Iterable[Sequence[float]]) -> FeatureScaler:
+    """Compute per-dimension min/max over feature vectors."""
+    try:
+        columns = tuple(zip(*vectors, strict=True))
+    except ValueError:
+        raise SchemaError("feature vectors differ in dimension") from None
+    if not columns:
+        raise EmptyTrainingSetError("cannot fit a scaler on zero vectors")
+    return FeatureScaler(mins=tuple(map(min, columns)), maxs=tuple(map(max, columns)))
 
 
 def extract_context(
@@ -280,8 +251,7 @@ class IpAttributeTable:
             raise SchemaError("fallback vector dimension does not match the table")
         if not all(map(math.isfinite, (*self.fallback, *(x for v in self.rows.values() for x in v)))):
             raise SchemaError("IP attribute values must be finite")
-        attributes = tuple(zip(*self.rows.values()))
-        self.scaler = FeatureScaler(mins=tuple(map(min, attributes)), maxs=tuple(map(max, attributes)))
+        self.scaler = fit_scaler(self.rows.values())
 
     @classmethod
     def from_csv(cls, path: str | Path, fallback: Sequence[float] | None = None) -> "IpAttributeTable":

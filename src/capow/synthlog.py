@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ConfigError
 from .flow_ingest import MINUTES_PER_DAY
 
 FLOW_COLUMNS = ("duration_ms", "fwd_packets", "bwd_packets", "bytes_per_s", "mean_packet_len")
@@ -37,6 +38,8 @@ class SyntheticUser:
 
 def default_population(n_legit: int = 4, n_attackers: int = 2) -> tuple[SyntheticUser, ...]:
     """A small mixed population with staggered legitimate activity windows."""
+    if n_legit < 0 or n_attackers < 0:
+        raise ConfigError(f"user counts must be at least 0, got {n_legit} and {n_attackers}")
     users = []
     for i in range(n_legit):
         # start 90 minutes apart, wrapping every 10 users; an evening
@@ -90,9 +93,10 @@ def write_activity_log(
     days: int = 1,
     seed: int = 0,
     include_day_column: bool = True,
-    include_labels: bool = True,
 ) -> int:
     """Write a CSV activity log; returns the number of data rows."""
+    if days < 1:
+        raise ConfigError(f"days must be at least 1, got {days}")
     users = users if users is not None else default_population()
     rng = random.Random(seed)
     rows: list[tuple] = []
@@ -110,24 +114,14 @@ def write_activity_log(
                 rows.append((day, t, user, sample_flow(rng, user.label)))
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    header = ["user_id", "timestamp"]
-    if include_day_column:
-        header.append("day")
-    if include_labels:
-        header.append("label")
-    header.extend(FLOW_COLUMNS)
+    header = ["user_id", "timestamp", *(["day"] if include_day_column else []), "label", *FLOW_COLUMNS]
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for day, t, user, flow in rows:
-            row: list = [user.user_id, f"{t:.3f}"]
-            if include_day_column:
-                row.append(day)
-            if include_labels:
-                row.append(user.label)
-            row.extend(f"{x:.3f}" for x in flow)
-            writer.writerow(row)
+            day_cell = [day] if include_day_column else []
+            writer.writerow([user.user_id, f"{t:.3f}", *day_cell, user.label, *(f"{x:.3f}" for x in flow)])
     return len(rows)
 
 

@@ -42,8 +42,6 @@ class TrainReport:
     records_total: int = 0
     rows_skipped: int = 0
     tam_users: int = 0
-    flow_legitimate: int = 0
-    flow_malicious: int = 0
     dabr_vectors: int = 0
     contexts_enabled: frozenset[str] = frozenset()
     warnings: list[str] = field(default_factory=list)
@@ -70,8 +68,6 @@ def train_bundle(
     flow schema. Missing inputs disable the corresponding context rather
     than failing the whole run; the report records each degradation.
     """
-    if not log_paths:
-        raise EmptyTrainingSetError("no activity logs given")
     report = TrainReport()
 
     records: list[ActivityRecord] = []
@@ -90,17 +86,14 @@ def train_bundle(
     if not records:
         raise EmptyTrainingSetError("activity logs contain no usable rows")
 
-    scaler = fit_scaler(records)
+    scaler = fit_scaler(r.flow_features for r in records)
     legitimate = [r for r in records if r.label == LABEL_LEGITIMATE]
     malicious = [r for r in records if r.label == LABEL_MALICIOUS]
 
     tam = None
     if legitimate:
-        try:
-            tam = train_tam(legitimate, gap_merge_min, aging_window_days)
-            report.tam_users = len(tam.intervals)
-        except EmptyTrainingSetError as exc:
-            report.warn(f"temporal model disabled: {exc}", partial=True)
+        tam = train_tam(legitimate, gap_merge_min, aging_window_days)
+        report.tam_users = len(tam.intervals)
     else:
         report.warn("temporal model disabled: no legitimate-labeled rows", partial=True)
 
@@ -111,8 +104,6 @@ def train_bundle(
                 [scaler.transform(r.flow_features) for r in legitimate],
                 [scaler.transform(r.flow_features) for r in malicious],
             )
-            report.flow_legitimate = len(legitimate)
-            report.flow_malicious = len(malicious)
         except DegenerateModelError as exc:
             report.warn(f"flow model disabled: {exc}", partial=True)
     else:
@@ -125,11 +116,8 @@ def train_bundle(
         ip_table = IpAttributeTable.from_csv(ip_attributes_path)
         bad_ids = sorted({r.user_id for r in malicious})
         vectors = [ip_table.embed(uid) for uid in bad_ids] if bad_ids else ip_table.vectors()
-        if vectors:
-            dabr = train_dabr(vectors, delta_max=dabr_delta_max)
-            report.dabr_vectors = len(vectors)
-        else:
-            report.warn("ip-distance model disabled: attribute table is empty", partial=True)
+        dabr = train_dabr(vectors, delta_max=dabr_delta_max)
+        report.dabr_vectors = len(vectors)
     else:
         report.warn("ip-distance model disabled: no IP attribute table given")
 
@@ -139,7 +127,7 @@ def train_bundle(
         flow=flow,
         dabr=dabr,
         ip_table=ip_table,
-        flow_columns=flow_columns or (),
+        flow_columns=flow_columns,
     )
     report.contexts_enabled = bundle.contexts_enabled
     return bundle, report

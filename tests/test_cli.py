@@ -237,9 +237,29 @@ def test_serve_refuses_a_port_past_65535(workspace, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_refuses_a_port_past_65535(monkeypatch, capsys):
+    def dial(*args, **kwargs):
+        raise AssertionError("solve dialled a port it should have refused")
+
+    monkeypatch.setattr(socket, "create_connection", dial)
+    code = main(["solve", "--port", "70000", "--user", "10.0.0.1",
+                 "--arrival", "500", "--features", "1,2,3,4,5"])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--legit", "-1"], ["--attackers", "-1"], ["--days", "0"]],
+                         ids=["negative-legit", "negative-attackers", "no-days"])
+def test_synth_refuses_a_count_below_its_floor(tmp_path, capsys, flags):
+    log = tmp_path / "log.csv"
+    assert main(["synth", "--out-log", str(log), *flags]) == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("flag", ["--gap-merge", "--dabr-delta-max"])
-def test_train_refuses_a_non_finite_flag(workspace, capsys, flag, value):
+def test_train_refuses_a_non_finite_or_negative_flag(workspace, capsys, flag, value):
     code = main(["train", "--log", str(workspace["log"]), "--ip-attributes", str(workspace["ip"]),
                  "--out", str(workspace["root"] / "retrained"), flag, value])
     assert code == EXIT_USAGE

@@ -111,6 +111,14 @@ def test_train_tam_aging_window():
     assert wide.intervals["a"] == ((100.0, 100.0), (500.0, 500.0))
 
 
+def test_train_tam_gap_merge_must_be_non_negative():
+    records = [rec("u1", 10), rec("u1", 10), rec("u1", 11)]
+    assert train_tam(records, gap_merge_min=0.0).intervals["u1"] == ((10.0, 10.0), (11.0, 11.0))
+    for gap in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            train_tam(records, gap_merge_min=gap)
+
+
 def test_train_tam_errors():
     with pytest.raises(EmptyTrainingSetError):
         train_tam([])

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from capow.errors import EmptyTrainingSetError, SchemaError
+from capow.persistence import save_bundle
 from capow.training import train_bundle
 
 
@@ -106,3 +109,30 @@ def test_gap_merge_passthrough(tmp_path):
     assert merged.tam.intervals["u1"] == ((100.0, 104.0), (120.0, 120.0))
     split, _ = train_bundle([log], gap_merge_min=2.0)
     assert split.tam.intervals["u1"] == ((100.0, 100.0), (104.0, 104.0), (120.0, 120.0))
+
+
+# SHA-256 of each bundle file trained from the conftest corpus; a change to
+# parsing, scaling or any trainer that moves one byte of a model shows here.
+GOLDEN_BUNDLE = {
+    "dabr.json": "25996a02707185cdb231968f0def96d9c0cc471ad89101269037d58e43699526",
+    "flow.json": "6b9277b238e0a1f1a212d6793cc160540fdeb6a8f8ae813f9ebf87756652004b",
+    "ip_table.json": "3848c246338f88053b2f4c2fab89e628cf15d7c147154dd84bff06ce33e48f85",
+    "manifest.json": "f67b37a3ae6f3fae5602a0fbcf96d0d4acda3826ab523901c88ecc09b59b842d",
+    "scaler.json": "95dfea81b3c1b990741e9407fa288ab4bed4c810966b47b0640fbf78ba3fecf1",
+    "tam.json": "c14bcd4fbef3ac77b1c158037f160092196588cc11c889f0e4b064a1aca2043e",
+}
+GOLDEN_BUNDLE_NO_FEED = {
+    "flow.json": GOLDEN_BUNDLE["flow.json"],
+    "manifest.json": "f436456c28ca251bc13ac7d62ec6fb830eb8f89998d21a013fbacd042d8ddce8",
+    "scaler.json": GOLDEN_BUNDLE["scaler.json"],
+    "tam.json": GOLDEN_BUNDLE["tam.json"],
+}
+
+
+@pytest.mark.parametrize("with_feed, golden", [(True, GOLDEN_BUNDLE), (False, GOLDEN_BUNDLE_NO_FEED)],
+                         ids=["with-feed", "without-feed"])
+def test_bundle_bytes_are_pinned(corpus, tmp_path, with_feed, golden):
+    bundle, _ = train_bundle(corpus["logs"], ip_attributes_path=corpus["ip"] if with_feed else None)
+    out = save_bundle(bundle, tmp_path / "bundle")
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == golden
