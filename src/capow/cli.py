@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import pow_core, simulate, synthlog
 from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN
@@ -119,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="replay a scenario against an in-process gate")
     p.add_argument("--scenario", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--plots", action="store_true", help="also render PNG charts")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="measure solve cost across difficulty levels")
@@ -127,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="CSV", help="write the sweep table here")
-    p.add_argument("--plots", action="store_true")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -303,7 +300,7 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = simulate.load_scenario(args.scenario)
-    result = simulate.run_simulation(scenario, args.out, plots=args.plots)
+    result = simulate.run_simulation(scenario, args.out)
     print(f"{'user':<16} {'role':<11} {'sent':>5} {'adm':>4} {'rej':>4} {'abn':>4} "
           f"{'mean d':>7} {'mean phi':>9} {'p50 ms':>8}")
     for row in result.report:
@@ -325,14 +322,6 @@ def cmd_report(args) -> int:
     if args.out:
         path = simulate.write_sweep_csv(rows, args.out)
         print(f"sweep table: {path}")
-        if args.plots:
-            png = simulate.render_sweep_plot(rows, Path(args.out).with_suffix(".png"))
-            if png:
-                print(f"sweep plot: {png}")
-    elif args.plots:
-        png = simulate.render_sweep_plot(rows, "sweep.png")
-        if png:
-            print(f"sweep plot: {png}")
     return EXIT_OK
 
 

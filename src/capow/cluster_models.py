@@ -120,6 +120,14 @@ class TemporalModel:
                 prev_end = end
 
 
+def check_tam_settings(gap_merge_min: float, aging_window_days: int) -> None:
+    """Refuse training settings no temporal model can hold, whether or not one is trained."""
+    if not 0.0 <= gap_merge_min < math.inf:
+        raise ConfigError(f"gap_merge_min must be non-negative and finite, got {gap_merge_min}")
+    if aging_window_days < 1:
+        raise ConfigError("aging_window_days must be a positive integer")
+
+
 def train_tam(
     records: Iterable[ActivityRecord],
     gap_merge_min: float = DEFAULT_GAP_MERGE_MIN,
@@ -131,8 +139,7 @@ def train_tam(
     day index present) contribute; older logs are aged out. Arrivals at
     most ``gap_merge_min`` minutes apart merge into one interval.
     """
-    if not 0.0 <= gap_merge_min < math.inf:
-        raise ConfigError(f"gap_merge_min must be non-negative and finite, got {gap_merge_min}")
+    check_tam_settings(gap_merge_min, aging_window_days)
     records = list(records)
     if not records:
         raise EmptyTrainingSetError("cannot train the temporal model on zero records")

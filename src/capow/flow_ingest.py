@@ -154,6 +154,8 @@ def _validate_schema(header: Sequence[str], path: Path) -> None:
     for required in REQUIRED_COLUMNS:
         if required not in header:
             raise SchemaError(f"{path}: missing required column '{required}'")
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: a column is named more than once in {header}")
     if not any(name not in RESERVED_COLUMNS for name in header):
         raise SchemaError(f"{path}: schema declares no flow feature columns")
 

@@ -20,6 +20,7 @@ defense); the gate does not use it, because each session holds its own.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import secrets
 import struct
@@ -137,20 +138,22 @@ def solve(
     start_nonce: int = 0,
     deadline_s: float | None = None,
     deadline_check_every: int = 4096,
+    max_attempts: int | None = None,
 ) -> Solution:
     """Search nonces sequentially from ``start_nonce`` until the digest fits.
 
     The search itself is unbounded; a caller worried about very hard
-    puzzles passes ``deadline_s`` (wall-clock seconds) and handles
-    :class:`SolveTimeout`.
+    puzzles passes ``deadline_s`` (wall-clock seconds) or ``max_attempts``
+    (hash evaluations) and handles :class:`SolveTimeout`.
     """
     prefix = hashlib.sha256(_puzzle_prefix(challenge.user_id, challenge.issue_ms, challenge.seed))
     threshold_bits = challenge.difficulty
     digest_bits = 256
     deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
-    nonce = start_nonce
     pack_nonce = struct.Struct(">Q").pack
-    while True:
+    nonces = (itertools.count(start_nonce) if max_attempts is None
+              else range(start_nonce, start_nonce + max_attempts))
+    for nonce in nonces:
         h = prefix.copy()
         h.update(pack_nonce(nonce))
         digest = h.digest()
@@ -160,12 +163,12 @@ def solve(
                 nonce=nonce,
                 attempts=nonce - start_nonce + 1,
             )
-        nonce += 1
-        if deadline_at is not None and nonce % deadline_check_every == 0:
+        if deadline_at is not None and (nonce + 1) % deadline_check_every == 0:
             if time.monotonic() > deadline_at:
                 raise SolveTimeout(
-                    f"no solution after {nonce - start_nonce} attempts at difficulty {challenge.difficulty}"
+                    f"no solution after {nonce + 1 - start_nonce} attempts at difficulty {challenge.difficulty}"
                 )
+    raise SolveTimeout(f"no solution in {max_attempts} attempts at difficulty {challenge.difficulty}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ digest, so clients cannot downgrade their own difficulty.
 from __future__ import annotations
 
 import logging
+import random
 import socket
 import socketserver
 import struct
@@ -255,9 +256,10 @@ class GateServer:
     Models and policy are immutable and shared across sessions; the queue
     is the only synchronized mutable state. Each challenge lives in the
     :class:`Session` that :meth:`handle_request` returns until
-    :meth:`handle_solution` gives it its one verdict. ``start()`` binds a
-    threaded TCP listener (port 0 picks an ephemeral port) that runs one
-    session per connection; tests can also call both methods directly.
+    :meth:`handle_solution` or :meth:`abandon` gives it its one verdict.
+    ``start()`` binds a threaded TCP listener (port 0 picks an ephemeral
+    port) that runs one session per connection; the simulator and tests
+    call these methods directly. Seeds come from ``seed_rng``, else the OS.
     """
 
     def __init__(
@@ -271,6 +273,7 @@ class GateServer:
         expiry_ms: int = pow_core.DEFAULT_EXPIRY_MS,
         clock_ms: Callable[[], int] | None = None,
         io_timeout_s: float = DEFAULT_IO_TIMEOUT_S,
+        seed_rng: random.Random | None = None,
     ) -> None:
         if bundle.scaler is None:
             raise ConfigError("model bundle has no feature scaler")
@@ -285,6 +288,7 @@ class GateServer:
         self.expiry_ms = expiry_ms
         self.events: list[GateEvent] = []
         self._clock_ms = clock_ms or (lambda: int(time.time() * 1000))
+        self._seed_rng = seed_rng
         self._embedder = bundle.embedder()
         self._dabr = bundle.dabr if "dabr" in policy.contexts_enabled else None
         self._tam = bundle.tam if "tam" in policy.contexts_enabled else None
@@ -329,7 +333,7 @@ class GateServer:
             return RejectMsg(reason=RejectReason.BAD_REQUEST), None
 
         challenge = pow_core.issue_challenge(
-            req.user_id.encode("utf-8"), difficulty, self._clock_ms(), self.expiry_ms
+            req.user_id.encode("utf-8"), difficulty, self._clock_ms(), self.expiry_ms, self._seed_rng
         )
         event = GateEvent(req.user_id, req.arrival_min, score, difficulty,
                           challenge.seed_digest().hex())
@@ -365,6 +369,11 @@ class GateServer:
             reason = RejectReason.OVERLOADED
         event.admitted, event.reason = False, reason.label
         return RejectMsg(reason=reason)
+
+    def abandon(self, session: Session | None) -> None:
+        """Settle a session whose SOLUTION never came: a hang-up, an I/O timeout, a client that gave up."""
+        if session is not None and session.event.admitted is None:
+            session.event.admitted, session.event.reason = False, ABANDONED
 
     # ── TCP plumbing ────────────────────────────────────────────────
 
@@ -404,9 +413,7 @@ class GateServer:
                 except OSError as exc:
                     logger.debug("session I/O error: %s", exc)
                 finally:
-                    # no SOLUTION frame came: a hang-up, an I/O timeout or a bad length header
-                    if session is not None and session.event.admitted is None:
-                        session.event.admitted, session.event.reason = False, ABANDONED
+                    gate.abandon(session)  # no SOLUTION frame came, e.g. a bad length header
 
         class TcpServer(socketserver.ThreadingTCPServer):
             allow_reuse_address = True

@@ -4,21 +4,23 @@ A scenario file names training logs, a policy, and a roster of users
 with request rates and arrival behavior. Users either synthesize flow
 vectors from a role archetype or replay their own rows from an eval
 log; attackers can additionally spoof a fresh user id per request. The
-simulator trains models, starts a loopback gate server, replays each
-user from its own thread (sequentially, so slow puzzles throttle that
-user's later requests), and merges client outcomes with the server's
-scoring log into per-event and per-user CSV reports.
+simulator trains models, then runs the roster on one thread and a
+virtual clock, calling the gate's handlers directly (each user sends
+sequentially, so slow puzzles throttle its later requests). Every client
+hashes at ``HASH_RATE``, so ``solve_timeout_s`` and ``latency_ms`` are
+virtual time, and a scenario's outputs are byte-reproducible. The TCP
+path is left to ``serve``, the protocol tests and the benchmark.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import logging
 import math
 import random
 import statistics
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,17 +28,17 @@ from typing import Sequence
 
 from . import pow_core, synthlog
 from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN, ContextScore
-from .errors import ConfigError
+from .errors import ConfigError, SolveTimeout
 from .flow_ingest import MINUTES_PER_DAY, ActivityRecord, parse_activity_log
 from .kvconfig import as_bool, as_float, as_int, as_str, parse_kv_file
 from .policy_engine import load_policy
-from .protocol import DEFAULT_QUEUE_CAPACITY, GateServer, Request, SessionOutcome
-from .protocol import client_session as run_client_session
+from .protocol import DEFAULT_QUEUE_CAPACITY, GateServer, Request, SessionOutcome, SolutionMsg
 from .training import train_bundle
 
 logger = logging.getLogger(__name__)
 
 ROLES = ("legitimate", "attacker")
+HASH_RATE = 1_000_000  # hashes per virtual second, the same for every simulated client
 FLOW_KINDS = ("legitimate", "malicious", "replay")
 
 
@@ -94,6 +96,8 @@ class SimulationScenario:
             raise ConfigError("scenario needs at least one [user ...] section")
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
+        if self.solve_timeout_s is not None and self.solve_timeout_s < 0:
+            raise ConfigError("solve_timeout_s must be at least 0")
         replayers = [u.user_id for u in self.users if u.flow_kind == "replay"]
         if replayers and self.eval_log is None:
             raise ConfigError(f"users {replayers} replay flows but no eval_log is given")
@@ -190,7 +194,7 @@ REPORT_COLUMNS = (
 
 @dataclass
 class MergedEvent:
-    """One request seen end to end: client outcome joined with the gate's score."""
+    """One request seen end to end: the session's outcome and the gate's score for it."""
 
     user_id: str
     role: str
@@ -249,13 +253,8 @@ class SimulationResult:
     report_path: Path | None = None
 
 
-def run_simulation(
-    scenario: SimulationScenario,
-    out_dir: str | Path | None = None,
-    *,
-    plots: bool = False,
-) -> SimulationResult:
-    """Train, serve, replay the roster, and merge both sides of the session log."""
+def run_simulation(scenario: SimulationScenario, out_dir: str | Path | None = None) -> SimulationResult:
+    """Train, then replay the roster against the gate on a virtual clock."""
     bundle, train_report = train_bundle(
         scenario.train_logs,
         ip_attributes_path=scenario.ip_attributes,
@@ -264,43 +263,31 @@ def run_simulation(
     )
     policy = load_policy(scenario.policy_path)
     replay_rows = _load_replay_rows(scenario)
+    now = 0.0  # virtual seconds; the gate's clock reads it
     server = GateServer(
         bundle,
         policy,
         queue_capacity=scenario.queue_capacity,
         expiry_ms=scenario.expiry_ms,
+        clock_ms=lambda: int(now * 1000),
+        seed_rng=random.Random(scenario.seed),
     )
-    address = server.start()
-    logger.info(
-        "gate on %s:%d, policy %s, contexts %s",
-        address[0], address[1], policy.policy_kind, sorted(train_report.contexts_enabled),
-    )
+    logger.info("policy %s, contexts %s", policy.policy_kind, sorted(train_report.contexts_enabled))
 
-    per_user: dict[str, list[tuple[int, float, SessionOutcome]]] = {u.user_id: [] for u in scenario.users}
-    threads = [
-        threading.Thread(
-            target=_drive_user,
-            args=(spec, address, scenario, per_user[spec.user_id], replay_rows.get(spec.user_id)),
-            name=f"capow-user-{spec.user_id}",
-            daemon=True,
-        )
-        for spec in scenario.users
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    server.stop()
+    per_user: list[list[MergedEvent]] = [[] for _ in scenario.users]
+    users = [_drive_user(spec, server, scenario, replay_rows.get(spec.user_id), sink)
+             for spec, sink in zip(scenario.users, per_user)]
+    # (virtual time, roster position, user): a tie goes to the earlier roster entry
+    heap = [(next(user), position, user) for position, user in enumerate(users)]
+    heapq.heapify(heap)
+    while heap:
+        now, position, user = heapq.heappop(heap)
+        wake = next(user, None)
+        if wake is not None:
+            heapq.heappush(heap, (wake, position, user))
 
-    scores = {e.seed_digest: e.score for e in server.events if e.seed_digest}
-    events = [
-        MergedEvent(spec.user_id, spec.role, index, arrival, outcome, scores.get(outcome.seed_digest))
-        for spec in scenario.users
-        for index, arrival, outcome in per_user[spec.user_id]
-    ]
-
-    report = [_summarize(spec, [e for e in events if e.user_id == spec.user_id])
-              for spec in scenario.users]
+    events = [event for sink in per_user for event in sink]
+    report = [_summarize(spec, sink) for spec, sink in zip(scenario.users, per_user)]
     result = SimulationResult(events=events, report=report)
 
     if out_dir is not None:
@@ -308,8 +295,6 @@ def run_simulation(
         out_dir.mkdir(parents=True, exist_ok=True)
         result.events_path = _write_csv(out_dir / "events.csv", EVENT_COLUMNS, (e.row() for e in events))
         result.report_path = _write_csv(out_dir / "report.csv", REPORT_COLUMNS, (r.row() for r in report))
-        if plots:
-            render_score_plot(events, out_dir / "scores.png")
     return result
 
 
@@ -330,26 +315,28 @@ def _load_replay_rows(scenario: SimulationScenario) -> dict[str, list[ActivityRe
 
 def _drive_user(
     spec: UserSpec,
-    address: tuple[str, int],
+    gate: GateServer,
     scenario: SimulationScenario,
-    sink: list[tuple[int, float, SessionOutcome]],
     replay_rows: Sequence[ActivityRecord] | None,
-) -> None:
+    sink: list[MergedEvent],
+):
     """Send this user's requests at its nominal rate, one at a time.
 
-    Sessions run sequentially, so a slow puzzle pushes the later requests
-    past their schedule; that backpressure is the effect under study.
+    A generator that yields the virtual time of each next step. A request
+    goes out at the later of its schedule and the previous session's end,
+    so a slow puzzle delays the later ones; that backpressure is the
+    effect under study.
     """
     digest = hashlib.blake2b(
         f"{scenario.seed}:{spec.user_id}".encode(), digest_size=8
     ).digest()
     rng = random.Random(int.from_bytes(digest, "big"))
+    budget = None if scenario.solve_timeout_s is None else math.ceil(scenario.solve_timeout_s * HASH_RATE)
     interval = 1.0 / spec.rate_rps
-    t0 = time.monotonic()
+    end = 0.0
     for index in range(spec.requests):
-        delay = (t0 + index * interval) - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
+        sent = max(index * interval, end)
+        yield sent
         if spec.flow_kind == "replay":
             record = replay_rows[index % len(replay_rows)]
             features = record.flow_features
@@ -361,10 +348,26 @@ def _drive_user(
         if spec.spoof:
             wire_id = f"{spec.user_id}-{rng.getrandbits(32):08x}"
         request = Request(user_id=wire_id, arrival_min=arrival, flow_features=features)
-        outcome = run_client_session(
-            request, address, solve_deadline_s=scenario.solve_timeout_s
-        )
-        sink.append((index, arrival, outcome))
+        reply, session = gate.handle_request(request)
+        if session is None:
+            outcome = SessionOutcome(wire_id, False, reply.reason.label, 0.0, 0, None, None)
+            sink.append(MergedEvent(spec.user_id, spec.role, index, arrival, outcome))
+            continue
+        try:
+            solution = pow_core.solve(session.challenge, max_attempts=budget)
+            attempts = solution.attempts
+        except SolveTimeout:
+            solution, attempts = None, budget
+        end = sent + attempts / HASH_RATE
+        yield end  # the SOLUTION arrives, or the client gives up, when hashing ends
+        if solution is None:
+            gate.abandon(session)
+        else:
+            gate.handle_solution(session, SolutionMsg(solution.seed_digest, solution.nonce))
+        event = session.event
+        outcome = SessionOutcome(wire_id, event.admitted, event.reason, attempts / HASH_RATE * 1000.0,
+                                 attempts, event.difficulty, event.seed_digest)
+        sink.append(MergedEvent(spec.user_id, spec.role, index, arrival, outcome, event.score))
 
 
 def _summarize(spec: UserSpec, events: Sequence[MergedEvent]) -> ReportRow:
@@ -452,56 +455,3 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> Path:
         ([r.difficulty, r.trials, f"{r.median_solve_s:.6f}", f"{r.mean_attempts:.2f}"] for r in rows),
     )
 
-
-# ── Plots (optional; needs matplotlib) ───────────────────────────────
-
-
-def render_score_plot(events: Sequence[MergedEvent], path: str | Path) -> Path | None:
-    """Scatter fused scores per request, colored by roster role."""
-    plt = _pyplot()
-    if plt is None:
-        return None
-    fig, ax = plt.subplots(figsize=(8, 4.5))
-    colors = {"legitimate": "tab:blue", "attacker": "tab:red"}
-    for role in ROLES:
-        xs = [i for i, e in enumerate(events) if e.role == role and e.score is not None]
-        ys = [e.score.phi for e in events if e.role == role and e.score is not None]
-        if xs:
-            ax.scatter(xs, ys, s=18, label=role, color=colors[role], alpha=0.8)
-    ax.set_xlabel("request")
-    ax.set_ylabel("fused score")
-    ax.set_ylim(-0.5, 10.5)
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    return Path(path)
-
-
-def render_sweep_plot(rows: Sequence[SweepRow], path: str | Path) -> Path | None:
-    """Median solve time against difficulty, log-scaled."""
-    plt = _pyplot()
-    if plt is None:
-        return None
-    fig, ax = plt.subplots(figsize=(8, 4.5))
-    ax.plot([r.difficulty for r in rows], [max(r.median_solve_s, 1e-7) for r in rows], marker="o")
-    ax.set_xlabel("difficulty (leading zero bits)")
-    ax.set_ylabel("median solve time (s)")
-    ax.set_yscale("log")
-    fig.tight_layout()
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    return Path(path)
-
-
-def _pyplot():
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-
-        return plt
-    except ImportError:
-        logger.warning("matplotlib not installed; skipping plot")
-        return None

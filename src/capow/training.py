@@ -17,6 +17,7 @@ from typing import Sequence
 from .cluster_models import (
     DEFAULT_AGING_WINDOW_DAYS,
     DEFAULT_GAP_MERGE_MIN,
+    check_tam_settings,
     train_dabr,
     train_flow,
     train_tam,
@@ -68,6 +69,7 @@ def train_bundle(
     flow schema. Missing inputs disable the corresponding context rather
     than failing the whole run; the report records each degradation.
     """
+    check_tam_settings(gap_merge_min, aging_window_days)
     report = TrainReport()
 
     records: list[ActivityRecord] = []

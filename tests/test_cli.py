@@ -267,6 +267,17 @@ def test_train_refuses_a_non_finite_or_negative_flag(workspace, capsys, flag, va
     assert not (workspace["root"] / "retrained").exists()
 
 
+@pytest.mark.parametrize("flags", [["--gap-merge", "-1"], ["--aging-window", "0"]],
+                         ids=["negative-gap-merge", "no-aging-window"])
+def test_train_refuses_tam_settings_when_no_temporal_model_trains(tmp_path, capsys, flags):
+    log = tmp_path / "malicious.csv"
+    log.write_text("user_id,timestamp,label,f1\n203.0.113.9,10,malicious,1\n")
+    code = main(["train", "--log", str(log), "--out", str(tmp_path / "m"), *flags])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_train_refuses_a_non_finite_ip_attribute(workspace, capsys, cell):
     header, first, *rest = workspace["ip"].read_text().splitlines()

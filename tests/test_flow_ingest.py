@@ -59,6 +59,14 @@ def test_missing_required_column(tmp_path):
         parse_activity_log(path)
 
 
+@pytest.mark.parametrize("header", ["user_id,timestamp,label,f1,f1", "user_id,timestamp,label,timestamp,f1"],
+                         ids=["flow-column", "timestamp"])
+def test_a_column_named_twice_is_refused(tmp_path, header):
+    path = write(tmp_path / "log.csv", f"{header}\nu1,10,legitimate,1,100\n")
+    with pytest.raises(SchemaError, match="named more than once"):
+        parse_activity_log(path)
+
+
 def test_empty_file_is_schema_error(tmp_path):
     with pytest.raises(SchemaError):
         parse_activity_log(write(tmp_path / "log.csv", ""))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 
 import pytest
 
+from capow import synthlog
 from capow.errors import ConfigError
 from capow.policy_engine import (
     POLICY_TABLE,
@@ -15,6 +17,7 @@ from capow.policy_engine import (
     map_difficulty,
     request_rng,
 )
+from capow.protocol import GateServer, Request
 
 
 def test_make_policy_per_kind_defaults():
@@ -168,3 +171,24 @@ def test_load_policy_rejects_sections_and_bad_weights(tmp_path):
     bad.write_text("weights: 1, 2\n")
     with pytest.raises(ConfigError):
         load_policy(bad)
+
+
+def test_prices_are_pinned(trained, corpus):
+    """What the gate charges, pinned: a changed score, deciding model or difficulty moves the digest."""
+    rng = random.Random(2024)
+    roster = [user.user_id for user in corpus["users"]]
+    requests = []
+    for _ in range(2000):
+        user_id = rng.choice(roster) if rng.random() < 0.5 else f"198.51.100.{rng.randrange(256)}"
+        label = rng.choice(("legitimate", "malicious"))
+        requests.append(Request(user_id, rng.uniform(0.0, 1440.0), synthlog.sample_flow(rng, label)))
+    h = hashlib.sha256()
+    for policy in (make_policy("linear"), make_policy("linear_shifted"),
+                   make_policy("error_range", rng_seed=7)):
+        gate = GateServer(trained, policy)
+        for request in requests:
+            score, difficulty = gate.price(request)
+            fields = (*(x.hex() for x in (score.alpha, score.beta, score.gamma, score.phi)),
+                      score.deciding_model.value, str(difficulty))
+            h.update((",".join(fields) + "\n").encode())
+    assert h.hexdigest() == "44695b8873b989c0887937202fd546572cf4e2b744d95f9cbb7e227d01a04d3b"

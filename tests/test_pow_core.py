@@ -149,6 +149,19 @@ def test_solve_deadline():
         solve(hard, deadline_s=0.05, deadline_check_every=512)
 
 
+def test_solve_max_attempts_is_an_exact_hash_budget():
+    # golden(12) first fits at nonce 1290, its 1291st attempt
+    assert solve(golden(12), max_attempts=GOLDEN_NONCES[12] + 1).nonce == GOLDEN_NONCES[12]
+    with pytest.raises(SolveTimeout, match="no solution in 1290 attempts"):
+        solve(golden(12), max_attempts=GOLDEN_NONCES[12])
+    shifted = solve(golden(12), start_nonce=1000, max_attempts=291)
+    assert (shifted.nonce, shifted.attempts) == (1290, 291)
+    with pytest.raises(SolveTimeout):
+        solve(golden(12), start_nonce=1000, max_attempts=290)
+    with pytest.raises(SolveTimeout, match="no solution in 0 attempts"):
+        solve(golden(0), max_attempts=0)
+
+
 def test_check_solution_threshold_not_equality():
     # a nonce clearing more bits than required still verifies
     c = golden(8)

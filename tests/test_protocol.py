@@ -297,6 +297,30 @@ def test_handle_solution_answers_only_the_sessions_own_challenge(gate):
     assert gate.handle_solution(session, solution) == AcceptMsg(queue_position=1)
 
 
+def test_abandon_settles_only_a_pending_session(gate):
+    gate.abandon(None)  # a REQUEST that drew a REJECT has no session
+    challenge, admitted = gate.handle_request(Request("10.0.0.1", 500.0, LEGIT_FLOW))
+    assert gate.handle_solution(admitted, solve_challenge_msg(challenge, "10.0.0.1")) == AcceptMsg(queue_position=1)
+    gate.abandon(admitted)
+    assert (admitted.event.admitted, admitted.event.reason, admitted.event.queue_position) == (True, None, 1)
+    _, pending = gate.handle_request(Request("10.0.0.2", 600.0, LEGIT_FLOW))
+    gate.abandon(pending)
+    assert verdict(pending.event) == (False, "abandoned")
+    assert gate.handle_solution(pending, None).reason is RejectReason.REPLAY
+    assert verdict(pending.event) == (False, "abandoned")
+
+
+def test_seeds_come_from_the_os_unless_the_gate_is_given_a_source(trained):
+    req = Request("10.0.0.1", 500.0, LEGIT_FLOW)
+    # built as `capow serve` builds it: no seed source
+    served = GateServer(trained, make_policy("linear"), host="127.0.0.1", port=0,
+                        queue_capacity=8, expiry_ms=30_000)
+    assert served.handle_request(req)[0].seed != served.handle_request(req)[0].seed
+    seeded = [GateServer(trained, make_policy("linear"), clock_ms=lambda: 0, seed_rng=random.Random(3))
+              for _ in range(2)]
+    assert seeded[0].handle_request(req)[0] == seeded[1].handle_request(req)[0]
+
+
 def test_expired_challenge_rejected(trained):
     clock = {"now": 1000}
     gate = GateServer(trained, make_policy("linear"), expiry_ms=50,

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import math
+import socket
+import threading
 
 import pytest
 
 from capow.errors import ConfigError
 from capow.simulate import (
+    HASH_RATE,
     SweepRow,
     UserSpec,
     difficulty_sweep,
@@ -215,15 +220,36 @@ def test_run_simulation_outputs(scenario_file, tmp_path):
 
 def test_simulation_difficulties_reproduce(scenario_file, tmp_path):
     scenario = load_scenario(scenario_file)
-    a = run_simulation(scenario, tmp_path / "a")
-    b = run_simulation(scenario, tmp_path / "b")
+    run_simulation(scenario, tmp_path / "a")
+    run_simulation(scenario, tmp_path / "b")
+    for name in ("events.csv", "report.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def difficulty_column(result):
-        return sorted(
-            (e.user_id, e.request_index, e.outcome.difficulty) for e in result.events
-        )
 
-    assert difficulty_column(a) == difficulty_column(b)
+def test_simulation_starts_no_thread_and_opens_no_socket(replay_scenario_file, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulator must run on one thread without sockets")
+
+    monkeypatch.setattr(socket, "socket", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    result = run_simulation(load_scenario(replay_scenario_file))
+    assert sum(row.requests_sent for row in result.report) == 8
+
+
+def test_solve_timeout_is_a_hash_budget_on_the_virtual_clock(scenario_file):
+    scenario = dataclasses.replace(load_scenario(scenario_file), solve_timeout_s=0.004)
+    budget = math.ceil(0.004 * HASH_RATE)
+    outcomes = [event.outcome for event in run_simulation(scenario).events]
+    for out in outcomes:
+        assert out.latency_ms == out.attempts / HASH_RATE * 1000.0
+        assert out.attempts <= budget
+        assert out.admitted or (out.reason == "abandoned" and out.attempts == budget)
+    assert {out.admitted for out in outcomes} == {True, False}
+
+
+def test_negative_solve_timeout_is_refused(scenario_file):
+    with pytest.raises(ConfigError, match="solve_timeout_s"):
+        dataclasses.replace(load_scenario(scenario_file), solve_timeout_s=-1.0)
 
 
 def test_difficulty_sweep_rows():

@@ -7,8 +7,6 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "capow"
-# the one optional dependency, imported lazily where plots are drawn
-ALLOWED = {("simulate.py", "_pyplot", "matplotlib")}
 
 
 def absolute_imports(tree: ast.AST):
@@ -35,8 +33,6 @@ def test_core_imports_only_the_standard_library():
     for source in sources:
         tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
         for function, module in absolute_imports(tree):
-            if module in sys.stdlib_module_names or module == "capow":
-                continue
-            if (source.name, function, module) not in ALLOWED:
+            if module not in sys.stdlib_module_names and module != "capow":
                 outside.append(f"{source.name}:{function or '<module>'} imports {module}")
     assert outside == []
