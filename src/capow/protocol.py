@@ -9,20 +9,21 @@ Frames are length-prefixed: ``u32be body length || u8 msg_type || payload``.
 Field-level layouts are documented on each message class. Each TCP
 session holds its own authoritative challenge and ends with a verdict on
 its audit record; a SOLUTION references the challenge only by seed
-digest, so clients cannot downgrade their own difficulty.
+digest, so clients cannot downgrade their own difficulty. One thread
+serves every connection; a session ends one I/O timeout after its accept.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, ClassVar, NamedTuple
 
@@ -172,24 +173,22 @@ def write_frame(sock: socket.socket, frame: bytes) -> None:
     sock.sendall(frame)
 
 
-def read_frame(sock: socket.socket, due: float | None = None) -> bytes:
-    """Read one length-prefixed frame and return its body.
+def read_frame(sock: socket.socket) -> bytes:
+    """Read one length-prefixed frame from a blocking socket and return its body."""
+    return _recv_exactly(sock, _body_length(_recv_exactly(sock, _LENGTH.size)))
 
-    Each ``recv`` waits at most the socket's timeout, and none starts once
-    ``due`` (a :func:`time.monotonic` reading) has passed. So however a
-    peer paces its bytes, the read ends within one timeout after ``due``.
-    """
-    (length,) = _LENGTH.unpack(_recv_exactly(sock, _LENGTH.size, due))
+
+def _body_length(buf: bytes | bytearray) -> int:
+    """The body length that a frame's prefix, at the start of ``buf``, announces."""
+    (length,) = _LENGTH.unpack_from(buf)
     if length == 0 or length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length {length} out of bounds")
-    return _recv_exactly(sock, length, due)
+    return length
 
 
-def _recv_exactly(sock: socket.socket, n: int, due: float | None) -> bytes:
+def _recv_exactly(sock: socket.socket, n: int) -> bytes:
     data = bytearray()
     while len(data) < n:
-        if due is not None and time.monotonic() >= due:
-            raise TimeoutError(f"{n - len(data)} of {n} bytes missing at the session's deadline")
         chunk = sock.recv(n - len(data))
         if not chunk:
             raise ProtocolError("connection closed mid-frame")
@@ -250,6 +249,18 @@ class Session(NamedTuple):
     event: GateEvent
 
 
+@dataclass(slots=True, eq=False)
+class _Connection:
+    """One open connection: its session's deadline, unread input, unsent output and its Session."""
+
+    sock: socket.socket
+    due: float
+    inbox: bytearray = field(default_factory=bytearray)
+    outbox: bytearray = field(default_factory=bytearray)
+    session: Session | None = None
+    finished: bool = False  # its last reply is written or queued: no further frame is read
+
+
 class GateServer:
     """Scores requests, issues puzzles, verifies solutions, queues admissions.
 
@@ -257,9 +268,10 @@ class GateServer:
     is the only synchronized mutable state. Each challenge lives in the
     :class:`Session` that :meth:`handle_request` returns until
     :meth:`handle_solution` or :meth:`abandon` gives it its one verdict.
-    ``start()`` binds a threaded TCP listener (port 0 picks an ephemeral
-    port) that runs one session per connection; the simulator and tests
-    call these methods directly. Seeds come from ``seed_rng``, else the OS.
+    ``start()`` binds a TCP listener (port 0 picks an ephemeral port) and
+    serves every connection from one selector loop on one thread, closing
+    each ``io_timeout_s`` after its accept; the simulator and tests call
+    these methods directly. Seeds come from ``seed_rng``, else the OS.
     """
 
     def __init__(
@@ -296,7 +308,8 @@ class GateServer:
         self._host = host
         self._port = port
         self._io_timeout_s = io_timeout_s
-        self._tcp: socketserver.ThreadingTCPServer | None = None
+        self._address: tuple[str, int] | None = None
+        self._wake: socket.socket | None = None
         self._thread: threading.Thread | None = None
 
     # ── Request handling ────────────────────────────────────────────
@@ -379,66 +392,110 @@ class GateServer:
 
     def start(self) -> tuple[str, int]:
         """Bind and serve on a background thread; returns the bound address."""
-        gate = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                sock: socket.socket = self.request
-                sock.settimeout(gate._io_timeout_s)
-                # every recv waits one timeout at most and none starts after this: a session
-                # ends within twice the timeout of its accept, however its peer paces bytes
-                due = time.monotonic() + gate._io_timeout_s
-                session = None
-                try:
-                    first = decode_message(read_frame(sock, due))
-                    if not isinstance(first, Request):
-                        write_frame(sock, encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST)))
-                        return
-                    reply, session = gate.handle_request(first)
-                    write_frame(sock, encode_message(reply))
-                    if session is None:
-                        return
-                    frame = read_frame(sock, due)
-                    try:
-                        second = decode_message(frame)
-                    except ProtocolError:
-                        second = None
-                    write_frame(sock, encode_message(gate.handle_solution(session, second)))
-                except ProtocolError as exc:
-                    logger.debug("session aborted: %s", exc)
-                    try:
-                        write_frame(sock, encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST)))
-                    except OSError:
-                        pass
-                except OSError as exc:
-                    logger.debug("session I/O error: %s", exc)
-                finally:
-                    gate.abandon(session)  # no SOLUTION frame came, e.g. a bad length header
-
-        class TcpServer(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._tcp = TcpServer((self._host, self._port), Handler)
-        self._thread = threading.Thread(target=self._tcp.serve_forever, name="capow-gate", daemon=True)
+        listener = socket.create_server((self._host, self._port))
+        listener.setblocking(False)
+        wake, self._wake = socket.socketpair()
+        self._address = listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, args=(listener, wake), name="capow-gate", daemon=True)
         self._thread.start()
         return self.address
 
+    def _serve(self, listener: socket.socket, wake: socket.socket) -> None:
+        """Serve every connection from one selector loop until :meth:`stop` writes to ``wake``."""
+        # one timeout for all, so deadlines fall in accept order: the first open connection expires next
+        self._conns: dict[socket.socket, _Connection] = {}
+        with selectors.DefaultSelector() as self._sel, listener, wake:
+            self._sel.register(listener, selectors.EVENT_READ)
+            self._sel.register(wake, selectors.EVENT_READ)
+            try:
+                while True:
+                    now = time.monotonic()
+                    while (first := next(iter(self._conns.values()), None)) is not None and first.due <= now:
+                        self._close(first)
+                    for key, mask in self._sel.select(None if first is None else first.due - now):
+                        if key.data is not None:
+                            self._step(key.data, mask)
+                        elif key.fileobj is wake:
+                            return
+                        else:
+                            try:
+                                sock = listener.accept()[0]
+                            except OSError as exc:  # e.g. out of descriptors: the peer waits in the backlog
+                                logger.debug("accept failed: %s", exc)
+                                continue
+                            sock.setblocking(False)
+                            conn = self._conns[sock] = _Connection(sock, time.monotonic() + self._io_timeout_s)
+                            self._sel.register(sock, selectors.EVENT_READ, conn)
+            finally:
+                for conn in list(self._conns.values()):
+                    self._close(conn)
+
+    def _step(self, conn: _Connection, mask: int) -> None:
+        """Read or write what the connection is ready for; any failure closes this session only."""
+        try:
+            if mask & selectors.EVENT_READ:
+                self._receive(conn)
+            if conn.outbox:
+                del conn.outbox[:conn.sock.send(conn.outbox)]
+        except OSError as exc:
+            logger.debug("session I/O error: %s", exc)
+            return self._close(conn)
+        except Exception:
+            logger.exception("gate session failed")
+            return self._close(conn)
+        if conn.finished and not conn.outbox:
+            self._close(conn)
+        else:  # the rest of a reply goes out before anything more is read
+            self._sel.modify(conn.sock, selectors.EVENT_WRITE if conn.outbox else selectors.EVENT_READ, conn)
+
+    def _receive(self, conn: _Connection) -> None:
+        """Answer each whole frame in the input: a REQUEST opens the session, the next frame settles it."""
+        chunk = conn.sock.recv(1 << 16)
+        conn.inbox += chunk
+        try:
+            if not chunk:
+                raise ProtocolError("connection closed mid-frame")
+            while not conn.finished and len(conn.inbox) >= _LENGTH.size:
+                end = _LENGTH.size + _body_length(conn.inbox)
+                if len(conn.inbox) < end:
+                    return
+                try:
+                    msg = decode_message(bytes(conn.inbox[_LENGTH.size:end]))
+                except ProtocolError:
+                    msg = None
+                del conn.inbox[:end]
+                conn.finished = True
+                if conn.session is not None:
+                    reply = self.handle_solution(conn.session, msg)
+                elif not isinstance(msg, Request):
+                    raise ProtocolError("the first frame is not a REQUEST")
+                else:
+                    reply, conn.session = self.handle_request(msg)
+                    conn.finished = conn.session is None
+                conn.outbox += encode_message(reply)
+        except ProtocolError:  # an open session reads abandoned once the connection closes
+            conn.finished = True
+            conn.outbox += encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST))
+
+    def _close(self, conn: _Connection) -> None:
+        del self._conns[conn.sock]
+        self._sel.unregister(conn.sock)
+        conn.sock.close()
+        self.abandon(conn.session)  # no SOLUTION came: a hang-up, a bad length header, the deadline
+
     @property
     def address(self) -> tuple[str, int]:
-        if self._tcp is None:
+        if self._address is None:
             raise RuntimeError("server not started")
-        addr = self._tcp.server_address
-        return addr[0], addr[1]
+        return self._address
 
     def stop(self) -> None:
-        if self._tcp is not None:
-            self._tcp.shutdown()
-            self._tcp.server_close()
-            self._tcp = None
+        """Close the listener and every open connection; each open session reads abandoned."""
         if self._thread is not None:
+            self._wake.send(b"\0")
             self._thread.join(timeout=5)
-            self._thread = None
+            self._wake.close()
+            self._thread = self._wake = self._address = None
 
     def __enter__(self) -> "GateServer":
         self.start()

@@ -152,11 +152,13 @@ def load_scenario(path: str | Path) -> SimulationScenario:
     doc = parse_kv_file(path)
     given = doc.top.read(SCENARIO_TABLE, str(path))
     duration = given.get("duration_s", SimulationScenario.duration_s)
-    users: list[UserSpec] = []
+    users: dict[str, UserSpec] = {}  # by id: a user's rng and report row are keyed by it
     for section in doc.sections:
         parts = section.name.split(None, 1)
         if len(parts) != 2 or parts[0] != "user":
             raise ConfigError(f"{path}: unexpected section [{section.name}]")
+        if parts[1] in users:
+            raise ConfigError(f"{path}: user {parts[1]} is given twice")
         user = section.read(USER_TABLE, f"{path}: [{section.name}]")
         section.require("role")
         section.require("rate_rps")
@@ -170,11 +172,11 @@ def load_scenario(path: str | Path) -> SimulationScenario:
             if not math.isfinite(planned):
                 raise ConfigError(f"{path}: [{section.name}]: rate_rps * duration_s overflows")
             user["requests"] = max(1, round(planned))
-        users.append(UserSpec(user_id=parts[1], **user))
+        users[parts[1]] = UserSpec(user_id=parts[1], **user)
     return SimulationScenario(
         train_logs=tuple(base / p for p in doc.top.get_all("train_log")),
         policy_path=base / doc.top.require("policy"),
-        users=tuple(users),
+        users=tuple(users.values()),
         **{name: base / value if isinstance(value, Path) else value for name, value in given.items()},
     )
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-import socketserver
-import traceback
+import logging
 
 import pytest
 
@@ -34,13 +33,22 @@ def trained(corpus):
 
 
 @pytest.fixture(autouse=True)
-def gate_handler_errors_fail(monkeypatch):
-    """Fail the test if a socketserver handler raised; socketserver itself only prints it."""
+def gate_handler_errors_fail():
+    """Fail the test if a gate session raised; the serving loop only logs it and serves on.
+
+    Yields the recorded failures, so a test that provokes one can check it and clear the list.
+    """
     errors: list[str] = []
 
-    def record(server, request, client_address) -> None:
-        errors.append(traceback.format_exc())
+    class Record(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            errors.append(self.format(record))
 
-    monkeypatch.setattr(socketserver.BaseServer, "handle_error", record)
-    yield
-    assert not errors, "a gate handler raised:\n" + "\n".join(errors)
+    handler = Record(logging.ERROR)
+    gate_logger = logging.getLogger("capow.protocol")
+    gate_logger.addHandler(handler)
+    try:
+        yield errors
+    finally:
+        gate_logger.removeHandler(handler)
+    assert not errors, "a gate session raised:\n" + "\n".join(errors)

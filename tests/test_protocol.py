@@ -639,3 +639,119 @@ def test_a_paced_session_ends_within_twice_the_io_timeout(trained):
         assert replies == []
         assert closed_after < SESSION_BOUND_S
         assert gate.events == []
+
+
+# ── One serving loop ─────────────────────────────────────────────────
+
+
+def test_sequential_sessions_start_no_thread(trained, monkeypatch):
+    started = []
+    thread_start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        thread_start(thread)
+
+    with GateServer(trained, make_policy("linear")) as gate:
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        outcomes = [client_session(Request("10.0.0.1", 490.0 + i % 40, LEGIT_FLOW), gate.address)
+                    for i in range(300)]
+    assert all(o.admitted for o in outcomes)
+    assert started == []
+
+
+def test_idle_connections_hold_no_thread(trained):
+    with GateServer(trained, make_policy("linear")) as gate:
+        before = threading.active_count()
+        idle = [socket.create_connection(gate.address, timeout=10) for _ in range(200)]
+        try:
+            # the listener accepts in arrival order, so this session is served after all 200 accepts
+            assert client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address).admitted
+            assert threading.active_count() == before
+        finally:
+            for sock in idle:
+                sock.close()
+
+
+def test_request_sent_a_byte_at_a_time_is_served(trained):
+    with GateServer(trained, make_policy("linear")) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW)):
+                sock.sendall(bytes([byte]))
+                time.sleep(0.002)
+            challenge = decode_message(read_frame(sock))
+            assert exchange(sock, solve_challenge_msg(challenge, "10.0.0.1")) == AcceptMsg(queue_position=1)
+
+
+def test_replies_sent_a_byte_at_a_time_arrive_whole(trained, monkeypatch):
+    # the gate writes with send(); the client's sendall() does not go through it
+    send = socket.socket.send
+    monkeypatch.setattr(socket.socket, "send", lambda sock, data, *flags: send(sock, bytes(data[:1]), *flags))
+    with GateServer(trained, make_policy("linear"), io_timeout_s=5) as gate:
+        outcomes = [client_session(Request("10.0.0.1", 500.0 + i, LEGIT_FLOW), gate.address, io_timeout_s=5)
+                    for i in range(3)]
+    assert [(o.admitted, o.reason) for o in outcomes] == [(True, None)] * 3
+
+
+@pytest.mark.parametrize("junk, record", [
+    (bytes.fromhex("000000020300"), "bad-request"),  # a SOLUTION with a 1-byte body
+    (bytes(4), "abandoned"),  # a zero length prefix
+    (b"\x00\x00", "abandoned"),  # half a length prefix, then the peer stops sending
+])
+def test_junk_after_a_request_in_one_send_gets_a_challenge_then_a_verdict(trained, junk, record):
+    with GateServer(trained, make_policy("linear")) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            sock.sendall(encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW)) + junk)
+            assert isinstance(decode_message(read_frame(sock)), ChallengeMsg)
+            sock.shutdown(socket.SHUT_WR)
+            assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.BAD_REQUEST)
+        wait_for(lambda: gate.events[-1].admitted is not None)
+        assert verdict(gate.events[-1]) == (False, record)
+
+
+def test_a_session_that_raises_does_not_stop_the_next(trained, monkeypatch, gate_handler_errors_fail):
+    handle_request = GateServer.handle_request
+    calls = []
+
+    def fails_once(gate, req):
+        calls.append(req)
+        if len(calls) == 1:
+            raise RuntimeError("scoring blew up")
+        return handle_request(gate, req)
+
+    monkeypatch.setattr(GateServer, "handle_request", fails_once)
+    with GateServer(trained, make_policy("linear")) as gate:
+        first = client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address)
+        second = client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address)
+    assert (first.admitted, first.reason) == (False, "transport")
+    assert second.admitted
+    assert len(gate_handler_errors_fail) == 1 and "scoring blew up" in gate_handler_errors_fail[0]
+    gate_handler_errors_fail.clear()
+
+
+def test_stop_settles_an_open_session_promptly(trained):
+    gate = GateServer(trained, make_policy("linear"))
+    gate.start()
+    with socket.create_connection(gate.address, timeout=10) as sock:
+        assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
+        started = time.monotonic()
+        gate.stop()
+        assert time.monotonic() - started < 1.0
+        assert verdict(gate.events[-1]) == (False, "abandoned")
+        assert sock.recv(1) == b""
+
+
+def test_a_session_ends_one_io_timeout_after_its_accept(trained):
+    # the SOLUTION's parts come 0.45 s apart, each within one I/O timeout of the last; the
+    # session still ends at its one deadline, not at a read's
+    with GateServer(trained, make_policy("linear"), io_timeout_s=0.5) as gate:
+        started = time.monotonic()
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
+            parts = trickles(encode_message(solve_challenge_msg(challenge, "10.0.0.1")))[0]
+            trickle_until_closed(sock, parts, gap_s=0.45)
+            closed_after = time.monotonic() - started
+        assert 0.5 <= closed_after < 0.8
+        wait_for(lambda: gate.events[-1].admitted is not None)
+        assert verdict(gate.events[-1]) == (False, "abandoned")

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from capow import cli
 from capow.errors import ConfigError
 from capow.simulate import (
     HASH_RATE,
@@ -83,6 +84,16 @@ def test_scenario_validation(tmp_path):
     bad.write_text("train_log: x.csv\npolicy: p.kv\n[user u]\nrole: legitimate\nrate_rps: 1\nburst: 9\n")
     with pytest.raises(ConfigError, match=r"unknown keys: \['burst'\]"):
         load_scenario(bad)  # unknown user key
+
+
+def test_a_user_id_given_twice_is_refused(tmp_path, capsys):
+    bad = tmp_path / "bad.kv"
+    bad.write_text("train_log: x.csv\npolicy: p.kv\n[user u]\nrole: legitimate\nrate_rps: 1\n"
+                   "[user u]\nrole: attacker\nrate_rps: 1\n")
+    with pytest.raises(ConfigError, match="user u is given twice"):
+        load_scenario(bad)
+    assert cli.main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_requests_rate_times_duration_that_overflows_is_refused(tmp_path):
