@@ -40,6 +40,12 @@ logger = logging.getLogger(__name__)
 MAX_FRAME_BYTES = 1 << 20
 DEFAULT_QUEUE_CAPACITY = 1024
 DEFAULT_IO_TIMEOUT_S = 120.0
+# While the serving loop's recent waits for an event average under this, it polls without
+# blocking for up to this long before it sleeps. Under load the next frame mostly comes
+# sooner, so the thread is not put to sleep and woken once per frame, and the scheduler
+# does not move another runnable thread onto its core in between. When events come
+# slower, as while a lone client solves its puzzle, it sleeps at once.
+POLL_SPIN_S = 100e-6
 ABANDONED = "abandoned"  # a verdict label only: no REJECT carries it
 
 
@@ -270,8 +276,10 @@ class GateServer:
     :meth:`handle_solution` or :meth:`abandon` gives it its one verdict.
     ``start()`` binds a TCP listener (port 0 picks an ephemeral port) and
     serves every connection from one selector loop on one thread, closing
-    each ``io_timeout_s`` after its accept; the simulator and tests call
-    these methods directly. Seeds come from ``seed_rng``, else the OS.
+    each ``io_timeout_s`` after its accept; while events come fast, the
+    loop polls for up to :data:`POLL_SPIN_S` before it sleeps. The
+    simulator and tests call these methods directly. Seeds come from
+    ``seed_rng``, else the OS.
     """
 
     def __init__(
@@ -311,6 +319,7 @@ class GateServer:
         self._address: tuple[str, int] | None = None
         self._wake: socket.socket | None = None
         self._thread: threading.Thread | None = None
+        self._mean_wait_s = 0.0  # moving average of the loop's waits for an event
 
     # ── Request handling ────────────────────────────────────────────
 
@@ -412,7 +421,7 @@ class GateServer:
                     now = time.monotonic()
                     while (first := next(iter(self._conns.values()), None)) is not None and first.due <= now:
                         self._close(first)
-                    for key, mask in self._sel.select(None if first is None else first.due - now):
+                    for key, mask in self._poll(None if first is None else first.due - now):
                         if key.data is not None:
                             self._step(key.data, mask)
                         elif key.fileobj is wake:
@@ -429,6 +438,17 @@ class GateServer:
             finally:
                 for conn in list(self._conns.values()):
                     self._close(conn)
+
+    def _poll(self, timeout: float | None) -> list:
+        """The ready keys, waited for up to ``timeout``; see :data:`POLL_SPIN_S` for when it polls first."""
+        started = time.monotonic()
+        ready = []
+        if self._mean_wait_s < POLL_SPIN_S:
+            while not (ready := self._sel.select(0)) and time.monotonic() - started < POLL_SPIN_S:
+                pass
+        ready = ready or self._sel.select(timeout)
+        self._mean_wait_s += (time.monotonic() - started - self._mean_wait_s) / 8
+        return ready
 
     def _step(self, conn: _Connection, mask: int) -> None:
         """Read or write what the connection is ready for; any failure closes this session only."""

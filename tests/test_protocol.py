@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from capow import cli
+from capow import cli, protocol
 from capow.errors import ConfigError, ProtocolError
 from capow.policy_engine import make_policy
 from capow.pow_core import solve
@@ -728,6 +728,17 @@ def test_a_session_that_raises_does_not_stop_the_next(trained, monkeypatch, gate
     assert second.admitted
     assert len(gate_handler_errors_fail) == 1 and "scoring blew up" in gate_handler_errors_fail[0]
     gate_handler_errors_fail.clear()
+
+
+def test_an_idle_gate_sleeps_after_one_poll(trained, monkeypatch):
+    # in-process sessions leave waits far under 50 ms, so the loop polls after the last
+    # event; it must then sleep, not spend the rest of the idle half second polling
+    monkeypatch.setattr(protocol, "POLL_SPIN_S", 0.05)
+    with GateServer(trained, make_policy("linear")) as gate:
+        assert client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address).admitted
+        cpu = time.process_time()
+        time.sleep(0.5)
+        assert time.process_time() - cpu < 0.2
 
 
 def test_stop_settles_an_open_session_promptly(trained):
