@@ -18,6 +18,7 @@ winning model recorded.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,11 +41,7 @@ class ModelName(str, Enum):
     FLOW = "flow"
 
 
-def euclid_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Euclidean distance between two equal-dimension vectors."""
-    if len(p) != len(q):
-        raise ValueError(f"dimension mismatch: {len(p)} vs {len(q)}")
-    return math.dist(p, q)
+euclid_distance = math.dist  # Euclidean distance; ValueError on vectors of unequal dimension
 
 
 def context_score(delta: float, delta_max: float, scale: int = SCORE_MAX) -> float:
@@ -185,8 +182,7 @@ def score_tam(model: TemporalModel, user_id: str, arrival_min: float) -> float:
     intervals = model.intervals.get(user_id)
     if not intervals:
         return float(SCORE_MAX)
-    delta_local = tam_local_deviation(intervals, arrival_min)
-    return min(delta_local / model.delta_max_min, 1.0) * SCORE_MAX
+    return context_score(tam_local_deviation(intervals, arrival_min), model.delta_max_min)
 
 
 def tam_local_deviation(intervals: Sequence[Interval], arrival_min: float) -> float:
@@ -197,15 +193,11 @@ def tam_local_deviation(intervals: Sequence[Interval], arrival_min: float) -> fl
         return 2.0 * (first_start - arrival_min)
     if arrival_min > last_end:
         return 2.0 * (arrival_min - last_end)
-    prev_end = None
-    for start, end in intervals:
-        if start <= arrival_min <= end:
-            return 0.0
-        if arrival_min < start:
-            # bracketed: gap between the two nearest clusters
-            return start - prev_end
-        prev_end = end
-    raise AssertionError("unreachable: arrival within [first_start, last_end] must bracket")
+    # the last interval starting at or before the arrival; one follows it, as arrival <= last_end
+    at = bisect.bisect_right(intervals, (arrival_min, math.inf)) - 1
+    if arrival_min <= intervals[at][1]:
+        return 0.0
+    return intervals[at + 1][0] - intervals[at][1]  # bracketed: gap between the two nearest clusters
 
 
 # ── Flow ─────────────────────────────────────────────────────────────

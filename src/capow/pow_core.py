@@ -232,16 +232,6 @@ class ChallengeRegistry:
             # wrong nonce: the challenge stays live until solved or expired
             return VerifyResult(accepted=False, reason=REJECT_WRONG_SOLUTION, challenge=challenge)
 
-    def purge(self, now_ms: int | None = None) -> int:
-        """Drop expired entries; returns how many were removed."""
-        if now_ms is None:
-            now_ms = int(time.time() * 1000)
-        with self._lock:
-            stale = [key for key, ch in self._pending.items() if ch.expired(now_ms)]
-            for key in stale:
-                del self._pending[key]
-            return len(stale)
-
     @property
     def outstanding(self) -> int:
         with self._lock:

@@ -135,6 +135,7 @@ _FIXED_CLASSES = (ChallengeMsg, SolutionMsg, AcceptMsg, RejectMsg)
 _FIXED_MESSAGES = {cls.TYPE: cls for cls in _FIXED_CLASSES}
 _LENGTH = struct.Struct(">I")
 _REQUEST_HEAD = struct.Struct(">BH")
+_SOLUTION_BODY = 1 + SolutionMsg.LAYOUT.size  # the one frame the gate reads after its CHALLENGE
 
 
 def encode_message(msg: Message) -> bytes:
@@ -181,13 +182,13 @@ def write_frame(sock: socket.socket, frame: bytes) -> None:
 
 def read_frame(sock: socket.socket) -> bytes:
     """Read one length-prefixed frame from a blocking socket and return its body."""
-    return _recv_exactly(sock, _body_length(_recv_exactly(sock, _LENGTH.size)))
+    return _recv_exactly(sock, _body_length(_recv_exactly(sock, _LENGTH.size), MAX_FRAME_BYTES))
 
 
-def _body_length(buf: bytes | bytearray) -> int:
-    """The body length that a frame's prefix, at the start of ``buf``, announces."""
+def _body_length(buf: bytes | bytearray, bound: int) -> int:
+    """The body length that a frame's prefix, at the start of ``buf``, announces: 1 to ``bound``."""
     (length,) = _LENGTH.unpack_from(buf)
-    if length == 0 or length > MAX_FRAME_BYTES:
+    if length == 0 or length > bound:
         raise ProtocolError(f"frame length {length} out of bounds")
     return length
 
@@ -257,14 +258,12 @@ class Session(NamedTuple):
 
 @dataclass(slots=True, eq=False)
 class _Connection:
-    """One open connection: its session's deadline, unread input, unsent output and its Session."""
+    """One open connection: its session's deadline, the part of its step's one frame read so far, its Session."""
 
     sock: socket.socket
     due: float
     inbox: bytearray = field(default_factory=bytearray)
-    outbox: bytearray = field(default_factory=bytearray)
     session: Session | None = None
-    finished: bool = False  # its last reply is written or queued: no further frame is read
 
 
 class GateServer:
@@ -277,9 +276,12 @@ class GateServer:
     ``start()`` binds a TCP listener (port 0 picks an ephemeral port) and
     serves every connection from one selector loop on one thread, closing
     each ``io_timeout_s`` after its accept; while events come fast, the
-    loop polls for up to :data:`POLL_SPIN_S` before it sleeps. The
-    simulator and tests call these methods directly. Seeds come from
-    ``seed_rng``, else the OS.
+    loop polls for up to :data:`POLL_SPIN_S` before it sleeps. Each session
+    step reads one frame, no longer than the longest REQUEST the bundle can
+    price and then a SOLUTION, and answers it with one write: a connection
+    is sent at most CHALLENGE and ACCEPT, 43 bytes, which any send buffer
+    holds. The simulator and tests call these methods directly. Seeds come
+    from ``seed_rng``, else the OS.
     """
 
     def __init__(
@@ -313,6 +315,8 @@ class GateServer:
         self._dabr = bundle.dabr if "dabr" in policy.contexts_enabled else None
         self._tam = bundle.tam if "tam" in policy.contexts_enabled else None
         self._flow = bundle.flow if "flow" in policy.contexts_enabled else None
+        # the longest REQUEST body the scaler can price: a 0xFFFF-byte id and its flow vector
+        self._request_body = _REQUEST_HEAD.size + 0xFFFF + 10 + 8 * bundle.scaler.dimension
         self._host = host
         self._port = port
         self._io_timeout_s = io_timeout_s
@@ -421,9 +425,9 @@ class GateServer:
                     now = time.monotonic()
                     while (first := next(iter(self._conns.values()), None)) is not None and first.due <= now:
                         self._close(first)
-                    for key, mask in self._poll(None if first is None else first.due - now):
+                    for key, _ in self._poll(None if first is None else first.due - now):
                         if key.data is not None:
-                            self._step(key.data, mask)
+                            self._step(key.data)
                         elif key.fileobj is wake:
                             return
                         else:
@@ -450,52 +454,48 @@ class GateServer:
         self._mean_wait_s += (time.monotonic() - started - self._mean_wait_s) / 8
         return ready
 
-    def _step(self, conn: _Connection, mask: int) -> None:
-        """Read or write what the connection is ready for; any failure closes this session only."""
+    def _step(self, conn: _Connection) -> None:
+        """Read the connection's input; any failure, or a session that has its answer, closes it."""
         try:
-            if mask & selectors.EVENT_READ:
-                self._receive(conn)
-            if conn.outbox:
-                del conn.outbox[:conn.sock.send(conn.outbox)]
+            if self._receive(conn):
+                return
         except OSError as exc:
             logger.debug("session I/O error: %s", exc)
-            return self._close(conn)
         except Exception:
             logger.exception("gate session failed")
-            return self._close(conn)
-        if conn.finished and not conn.outbox:
-            self._close(conn)
-        else:  # the rest of a reply goes out before anything more is read
-            self._sel.modify(conn.sock, selectors.EVENT_WRITE if conn.outbox else selectors.EVENT_READ, conn)
+        self._close(conn)
 
-    def _receive(self, conn: _Connection) -> None:
-        """Answer each whole frame in the input: a REQUEST opens the session, the next frame settles it."""
-        chunk = conn.sock.recv(1 << 16)
-        conn.inbox += chunk
+    def _frame_end(self, conn: _Connection) -> int:
+        """Where the step's frame ends in the input: known once its prefix is in, else the most it may."""
+        bound = self._request_body if conn.session is None else _SOLUTION_BODY
+        return _LENGTH.size + (_body_length(conn.inbox, bound) if len(conn.inbox) >= _LENGTH.size else bound)
+
+    def _receive(self, conn: _Connection) -> bool:
+        """Answer each whole frame: a REQUEST opens the session, the next settles it; False ends it."""
         try:
+            chunk = conn.sock.recv(self._frame_end(conn) - len(conn.inbox))
             if not chunk:
                 raise ProtocolError("connection closed mid-frame")
-            while not conn.finished and len(conn.inbox) >= _LENGTH.size:
-                end = _LENGTH.size + _body_length(conn.inbox)
-                if len(conn.inbox) < end:
-                    return
+            conn.inbox += chunk
+            while len(conn.inbox) >= (end := self._frame_end(conn)):
                 try:
                     msg = decode_message(bytes(conn.inbox[_LENGTH.size:end]))
                 except ProtocolError:
                     msg = None
                 del conn.inbox[:end]
-                conn.finished = True
                 if conn.session is not None:
-                    reply = self.handle_solution(conn.session, msg)
-                elif not isinstance(msg, Request):
+                    conn.sock.sendall(encode_message(self.handle_solution(conn.session, msg)))
+                    return False
+                if not isinstance(msg, Request):
                     raise ProtocolError("the first frame is not a REQUEST")
-                else:
-                    reply, conn.session = self.handle_request(msg)
-                    conn.finished = conn.session is None
-                conn.outbox += encode_message(reply)
+                reply, conn.session = self.handle_request(msg)
+                conn.sock.sendall(encode_message(reply))
+                if conn.session is None:
+                    return False
+            return True
         except ProtocolError:  # an open session reads abandoned once the connection closes
-            conn.finished = True
-            conn.outbox += encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST))
+            conn.sock.sendall(encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST)))
+            return False
 
     def _close(self, conn: _Connection) -> None:
         del self._conns[conn.sock]

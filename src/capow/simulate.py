@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import pow_core, synthlog
 from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN, ContextScore
-from .errors import ConfigError, SolveTimeout
+from .errors import ConfigError, SchemaError, SolveTimeout
 from .flow_ingest import MINUTES_PER_DAY, ActivityRecord, parse_activity_log
 from .kvconfig import as_bool, as_float, as_int, as_str, parse_kv_file
 from .policy_engine import load_policy
@@ -264,7 +264,7 @@ def run_simulation(scenario: SimulationScenario, out_dir: str | Path | None = No
         gap_merge_min=scenario.gap_merge_min,
     )
     policy = load_policy(scenario.policy_path)
-    replay_rows = _load_replay_rows(scenario)
+    replay_rows = _load_replay_rows(scenario, bundle.flow_columns)
     now = 0.0  # virtual seconds; the gate's clock reads it
     server = GateServer(
         bundle,
@@ -300,12 +300,17 @@ def run_simulation(scenario: SimulationScenario, out_dir: str | Path | None = No
     return result
 
 
-def _load_replay_rows(scenario: SimulationScenario) -> dict[str, list[ActivityRecord]]:
-    """Group the eval log by user id and check every replayer has rows."""
+def _load_replay_rows(
+    scenario: SimulationScenario, flow_columns: tuple[str, ...]
+) -> dict[str, list[ActivityRecord]]:
+    """Group the eval log by user id; check it has the training flow columns and every replayer has rows."""
     if scenario.eval_log is None:
         return {}
+    parsed = parse_activity_log(scenario.eval_log)
+    if parsed.flow_columns != flow_columns:
+        raise SchemaError(f"{scenario.eval_log}: flow columns {parsed.flow_columns} differ from {flow_columns}")
     rows: dict[str, list[ActivityRecord]] = {}
-    for record in parse_activity_log(scenario.eval_log).records:
+    for record in parsed.records:
         rows.setdefault(record.user_id, []).append(record)
     for spec in scenario.users:
         if spec.flow_kind == "replay" and not rows.get(spec.user_id):
@@ -416,21 +421,15 @@ class SweepRow:
     mean_attempts: float
 
 
-def difficulty_sweep(
-    max_difficulty: int = 12,
-    trials: int = 30,
-    seed: int = 0,
-    difficulties: Sequence[int] | None = None,
-) -> list[SweepRow]:
+def difficulty_sweep(max_difficulty: int = 12, trials: int = 30, seed: int = 0) -> list[SweepRow]:
     """Median wall-clock solve time per difficulty level over fresh puzzles."""
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     if not 0 <= max_difficulty <= pow_core.MAX_DIFFICULTY:
         raise ConfigError(f"max difficulty must be in [0, {pow_core.MAX_DIFFICULTY}], got {max_difficulty}")
-    levels = list(difficulties) if difficulties is not None else list(range(max_difficulty + 1))
     rng = random.Random(seed)
     rows = []
-    for d in levels:
+    for d in range(max_difficulty + 1):
         times = []
         attempts = []
         for _ in range(trials):

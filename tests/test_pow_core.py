@@ -230,16 +230,6 @@ def test_registry_verify_uses_exactly_one_hash_evaluation():
     assert reg.hash_evaluations == 2
 
 
-def test_registry_purge():
-    reg = ChallengeRegistry()
-    reg.issue(b"a", 1, now_ms=0, expiry_ms=10)
-    keep = reg.issue(b"b", 1, now_ms=0, expiry_ms=10_000)
-    removed = reg.purge(now_ms=50)
-    assert removed == 1
-    assert reg.outstanding == 1
-    assert reg.verify(solve(keep).seed_digest, solve(keep).nonce, now_ms=60).accepted
-
-
 def test_expected_attempts_scale_with_difficulty():
     rng = random.Random(77)
     totals = {}

@@ -9,11 +9,12 @@ import time
 
 import pytest
 
-from capow import cli, protocol
+from capow import cli, pow_core, protocol
 from capow.errors import ConfigError, ProtocolError
 from capow.policy_engine import make_policy
 from capow.pow_core import solve
 from capow.protocol import (
+    MAX_FRAME_BYTES,
     AcceptMsg,
     ChallengeMsg,
     GateServer,
@@ -684,14 +685,48 @@ def test_request_sent_a_byte_at_a_time_is_served(trained):
             assert exchange(sock, solve_challenge_msg(challenge, "10.0.0.1")) == AcceptMsg(queue_position=1)
 
 
-def test_replies_sent_a_byte_at_a_time_arrive_whole(trained, monkeypatch):
-    # the gate writes with send(); the client's sendall() does not go through it
-    send = socket.socket.send
-    monkeypatch.setattr(socket.socket, "send", lambda sock, data, *flags: send(sock, bytes(data[:1]), *flags))
-    with GateServer(trained, make_policy("linear"), io_timeout_s=5) as gate:
-        outcomes = [client_session(Request("10.0.0.1", 500.0 + i, LEGIT_FLOW), gate.address, io_timeout_s=5)
-                    for i in range(3)]
-    assert [(o.admitted, o.reason) for o in outcomes] == [(True, None)] * 3
+def test_every_reply_of_a_session_fits_the_smallest_send_buffer():
+    # the gate answers each frame with one sendall on a non-blocking socket; that cannot
+    # block while all it ever writes to a connection fits the least buffer the kernel allows
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
+        smallest = sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+    most = len(challenge_frame(pow_core.MAX_DIFFICULTY)) + len(encode_message(AcceptMsg(queue_position=1)))
+    assert most == 43 < smallest
+
+
+def request_bound(bundle) -> int:
+    """The longest REQUEST body the bundle can price: a 0xFFFF-byte id and its flow vector."""
+    return 3 + 0xFFFF + 10 + 8 * bundle.scaler.dimension
+
+
+def test_the_longest_request_the_bundle_can_price_is_challenged(trained):
+    longest = Request("a" * 0xFFFF, 500.0, LEGIT_FLOW)
+    assert len(body(encode_message(longest))) == request_bound(trained)
+    with GateServer(trained, make_policy("linear")) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            assert isinstance(exchange(sock, longest), ChallengeMsg)
+
+
+@pytest.mark.parametrize("announce", [lambda bound: bound + 1, lambda bound: MAX_FRAME_BYTES],
+                         ids=["bound+1", "1MiB"])
+def test_a_request_prefix_over_its_bound_is_refused_before_its_body(trained, announce):
+    with GateServer(trained, make_policy("linear")) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            sock.sendall(struct.pack(">I", announce(request_bound(trained))))
+            assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.BAD_REQUEST)
+        assert gate.events == []
+
+
+def test_a_second_frame_prefix_over_a_solution_is_refused_before_its_body(trained):
+    solution_body = len(body(encode_message(SolutionMsg(seed_digest=bytes(32), nonce=0))))
+    with GateServer(trained, make_policy("linear")) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
+            sock.sendall(struct.pack(">I", solution_body + 1))
+            assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.BAD_REQUEST)
+        wait_for(lambda: gate.events[-1].admitted is not None)
+        assert verdict(gate.events[-1]) == (False, "abandoned")
 
 
 @pytest.mark.parametrize("junk, record", [

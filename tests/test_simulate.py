@@ -9,7 +9,8 @@ import threading
 import pytest
 
 from capow import cli
-from capow.errors import ConfigError
+from capow.errors import ConfigError, SchemaError
+from capow.flow_ingest import RESERVED_COLUMNS
 from capow.simulate import (
     HASH_RATE,
     SweepRow,
@@ -176,6 +177,31 @@ def test_replay_user_missing_from_eval_log(replay_scenario_file):
     scenario = load_scenario(replay_scenario_file)
     with pytest.raises(ConfigError, match="203.0.113.99"):
         run_simulation(scenario)
+
+
+def rewrite_flow_columns(src, dst, pick) -> None:
+    """Copy an activity log, keeping its reserved columns and the flow columns ``pick`` returns, in that order."""
+    with open(src, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    flows = [name for name in rows[0] if name not in RESERVED_COLUMNS]
+    with open(dst, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, [name for name in rows[0] if name in RESERVED_COLUMNS] + pick(flows),
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("pick", [lambda flows: flows[::-1], lambda flows: flows[:-1]],
+                         ids=["reversed", "one-fewer"])
+def test_an_eval_log_with_other_flow_columns_is_refused(corpus, replay_scenario_file, tmp_path, capsys, pick):
+    eval_log = tmp_path / "eval.csv"
+    rewrite_flow_columns(corpus["logs"][1], eval_log, pick)
+    replay_scenario_file.write_text(replay_scenario_file.read_text().replace(str(corpus["logs"][1]), str(eval_log)))
+    with pytest.raises(SchemaError, match="flow columns .* differ from"):
+        run_simulation(load_scenario(replay_scenario_file))
+    assert cli.main(["simulate", "--scenario", str(replay_scenario_file), "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "events.csv").exists()
 
 
 def test_replay_and_spoof_simulation(replay_scenario_file):
