@@ -26,6 +26,7 @@ from .errors import (
     ProtocolError,
     SchemaError,
 )
+from .flow_ingest import MINUTES_PER_DAY
 from .kvconfig import as_float, as_int
 from .persistence import load_bundle, save_bundle
 from .policy_engine import load_policy
@@ -169,7 +170,7 @@ def _parse_features(raw: str) -> tuple[float, ...]:
 
 
 def _check_arrival(arrival: float) -> float:
-    if not 0.0 <= arrival < 24.0 * 60.0:
+    if not 0.0 <= arrival < MINUTES_PER_DAY:
         raise ConfigError(f"arrival must be in [0, 1440) minutes, got {arrival}")
     return arrival
 

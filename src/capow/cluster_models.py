@@ -22,6 +22,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DegenerateModelError, EmptyTrainingSetError
@@ -292,12 +294,6 @@ def fuse_scores(
 def _mean_vector(vectors: Sequence[Sequence[float]], which: str = "training") -> tuple[float, ...]:
     if not vectors:
         raise EmptyTrainingSetError(f"empty {which} set")
-    dim = len(vectors[0])
-    sums = [0.0] * dim
-    for vec in vectors:
-        if len(vec) != dim:
-            raise ValueError(f"inconsistent vector dimensions: {len(vec)} vs {dim}")
-        for j, x in enumerate(vec):
-            sums[j] += x
-    n = len(vectors)
-    return tuple(s / n for s in sums)
+    # reduce, not sum: from Python 3.12 sum() compensates float error, which moves the last bit
+    sums = [reduce(add, column, 0.0) for column in zip(*vectors, strict=True)]
+    return tuple(s / len(vectors) for s in sums)

@@ -191,7 +191,7 @@ def extract_context(
     arrival_min: float,
     flow_features: Sequence[float],
     scaler: FeatureScaler,
-    embedder: IpEmbedder | None = None,
+    embedder: IpEmbedder,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Check one request's wire fields; return its IP attributes and scaled flow vector.
 
@@ -203,7 +203,7 @@ def extract_context(
         raise SchemaError(f"arrival {arrival_min} outside [0, {MINUTES_PER_DAY})")
     if not all(math.isfinite(x) for x in flow_features):
         raise SchemaError("flow features must be finite")
-    return tuple((embedder or octet_embedding)(user_id)), scaler.transform(flow_features)
+    return embedder(user_id), scaler.transform(flow_features)
 
 
 def octet_embedding(user_id: str) -> tuple[float, ...]:
@@ -229,10 +229,10 @@ class IpAttributeTable:
     """IP-attribute feed: maps an IP to an n-dimensional attribute vector.
 
     Loaded from a CSV with an ``ip`` column followed by numeric attribute
-    columns. Vectors are min-max normalized over the table so DAbR's default
-    delta_max (the unit-hypercube diagonal) stays meaningful. IPs absent
-    from the feed embed to the configurable ``fallback`` point, the
-    mid-cube by default.
+    columns. Vectors are min-max normalized over the table once, as it is
+    built, so DAbR's default delta_max (the unit-hypercube diagonal) stays
+    meaningful. IPs absent from the feed embed to the configurable
+    ``fallback`` point, the mid-cube by default.
     """
 
     rows: dict[str, tuple[float, ...]]
@@ -253,7 +253,8 @@ class IpAttributeTable:
             raise SchemaError("fallback vector dimension does not match the table")
         if not all(map(math.isfinite, (*self.fallback, *(x for v in self.rows.values() for x in v)))):
             raise SchemaError("IP attribute values must be finite")
-        self.scaler = fit_scaler(self.rows.values())
+        scaler = fit_scaler(self.rows.values())
+        self._scaled = {ip: scaler.transform(raw) for ip, raw in self.rows.items()}
 
     @classmethod
     def from_csv(cls, path: str | Path, fallback: Sequence[float] | None = None) -> "IpAttributeTable":
@@ -284,10 +285,7 @@ class IpAttributeTable:
 
     def vectors(self) -> list[tuple[float, ...]]:
         """All normalized attribute vectors; DAbR's training input."""
-        return [self.scaler.transform(v) for v in self.rows.values()]
+        return list(self._scaled.values())
 
     def embed(self, user_id: str) -> tuple[float, ...]:
-        raw = self.rows.get(user_id)
-        if raw is None:
-            return self.fallback
-        return self.scaler.transform(raw)
+        return self._scaled.get(user_id, self.fallback)

@@ -41,21 +41,13 @@ def _canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _thawer(sample):
-    """The function that turns JSON values shaped like ``sample`` back into tuples, at every depth.
-
-    A container's first item stands for all of its items, so an array of
-    plain values takes a single ``tuple()`` call.
-    """
-    if type(sample) is dict:
-        inner = _thawer(next(iter(sample.values()), None))
-        return lambda value: {key: inner(item) for key, item in value.items()}
-    if type(sample) is not list:
-        return lambda value: value
-    if not sample or type(sample[0]) not in (list, dict):
-        return tuple
-    inner = _thawer(sample[0])
-    return lambda value: tuple(map(inner, value))
+def _thaw(value):
+    """A parsed JSON value with every array made a tuple, at every depth."""
+    if type(value) is list:
+        return tuple(map(_thaw, value))
+    if type(value) is dict:
+        return {key: _thaw(item) for key, item in value.items()}
+    return value
 
 
 def dumps_model(model: Model) -> str:
@@ -80,7 +72,7 @@ def loads_model(text: str) -> Model:
     if cls is None:
         raise ConfigError(f"unknown model kind {kind!r}")
     try:
-        return cls(**{name: _thawer(value)(value) for name, value in doc.items()})
+        return cls(**{name: _thaw(value) for name, value in doc.items()})
     except (CapowError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"unusable {kind} model: {exc}") from None
 

@@ -28,27 +28,29 @@ from .errors import ConfigError
 from .kvconfig import as_float, as_int, as_str, parse_kv_file
 from .pow_core import MAX_DIFFICULTY
 
-POLICY_KINDS = ("linear", "linear_shifted", "error_range")
-ALL_CONTEXTS = frozenset({"dabr", "tam", "flow"})
-DEFAULT_EPSILON = 0.2
-
-# Default difficulty span per policy kind.
-DEFAULT_DIFFICULTY_RANGE = {
+# Policy kind: its default difficulty span, which an omitted difficulty_lo or difficulty_hi takes.
+POLICY_KIND_SPANS = {
     "linear": (0, 10),
     "linear_shifted": (10, 20),
     "error_range": (0, 10),
 }
+POLICY_KINDS = tuple(POLICY_KIND_SPANS)
+ALL_CONTEXTS = frozenset({"dabr", "tam", "flow"})
+DEFAULT_EPSILON = 0.2
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Validated policy: the score-to-difficulty rule plus model weights."""
+    """Validated policy: the score-to-difficulty rule plus model weights.
+
+    An omitted ``difficulty_lo`` or ``difficulty_hi`` takes the kind's span.
+    """
 
     policy_kind: str = "linear"
     score_lo: float = 0.0
     score_hi: float = 10.0
-    difficulty_lo: int = 0
-    difficulty_hi: int = 10
+    difficulty_lo: int | None = None
+    difficulty_hi: int | None = None
     epsilon: float = DEFAULT_EPSILON
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     rng_seed: int | None = None
@@ -57,6 +59,9 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.policy_kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy_kind {self.policy_kind!r}, expected one of {POLICY_KINDS}")
+        for name, default in zip(("difficulty_lo", "difficulty_hi"), POLICY_KIND_SPANS[self.policy_kind]):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if not -math.inf < self.score_lo < self.score_hi < math.inf:
             raise ConfigError(f"score range [{self.score_lo}, {self.score_hi}] must be finite, min below max")
         if not 0 <= self.difficulty_lo <= self.difficulty_hi <= MAX_DIFFICULTY:
@@ -73,13 +78,8 @@ class PolicyConfig:
 
 
 def make_policy(policy_kind: str = "linear", **overrides) -> PolicyConfig:
-    """Build a policy of the given kind with per-kind difficulty defaults."""
-    if policy_kind not in POLICY_KINDS:
-        raise ConfigError(f"unknown policy_kind {policy_kind!r}, expected one of {POLICY_KINDS}")
-    d_lo, d_hi = DEFAULT_DIFFICULTY_RANGE[policy_kind]
-    params = {"difficulty_lo": d_lo, "difficulty_hi": d_hi}
-    params.update(overrides)
-    return PolicyConfig(policy_kind=policy_kind, **params)
+    """Build a policy of the given kind; the same as ``PolicyConfig(policy_kind, **overrides)``."""
+    return PolicyConfig(policy_kind=policy_kind, **overrides)
 
 
 def _parse_weights(raw: str, key: str) -> tuple[float, float, float]:

@@ -312,9 +312,13 @@ class GateServer:
         self._clock_ms = clock_ms or (lambda: int(time.time() * 1000))
         self._seed_rng = seed_rng
         self._embedder = bundle.embedder()
-        self._dabr = bundle.dabr if "dabr" in policy.contexts_enabled else None
-        self._tam = bundle.tam if "tam" in policy.contexts_enabled else None
-        self._flow = bundle.flow if "flow" in policy.contexts_enabled else None
+        contexts = policy.contexts_enabled & bundle.contexts_enabled
+        if not contexts:
+            raise ConfigError(f"the policy enables {sorted(policy.contexts_enabled)}, "
+                              f"of which the bundle holds none (it holds {sorted(bundle.contexts_enabled)})")
+        self._dabr = bundle.dabr if "dabr" in contexts else None
+        self._tam = bundle.tam if "tam" in contexts else None
+        self._flow = bundle.flow if "flow" in contexts else None
         # the longest REQUEST body the scaler can price: a 0xFFFF-byte id and its flow vector
         self._request_body = _REQUEST_HEAD.size + 0xFFFF + 10 + 8 * bundle.scaler.dimension
         self._host = host

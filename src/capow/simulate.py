@@ -32,7 +32,7 @@ from .errors import ConfigError, SchemaError, SolveTimeout
 from .flow_ingest import MINUTES_PER_DAY, ActivityRecord, parse_activity_log
 from .kvconfig import as_bool, as_float, as_int, as_str, parse_kv_file
 from .policy_engine import load_policy
-from .protocol import DEFAULT_QUEUE_CAPACITY, GateServer, Request, SessionOutcome, SolutionMsg
+from .protocol import ABANDONED, DEFAULT_QUEUE_CAPACITY, GateServer, Request, SessionOutcome, SolutionMsg
 from .training import train_bundle
 
 logger = logging.getLogger(__name__)
@@ -265,6 +265,10 @@ def run_simulation(scenario: SimulationScenario, out_dir: str | Path | None = No
     )
     policy = load_policy(scenario.policy_path)
     replay_rows = _load_replay_rows(scenario, bundle.flow_columns)
+    synthesizers = [u.user_id for u in scenario.users if u.flow_kind != "replay"]
+    if synthesizers and bundle.flow_columns != synthlog.FLOW_COLUMNS:
+        raise SchemaError(f"users {synthesizers} synthesize flow columns {synthlog.FLOW_COLUMNS}, "
+                          f"which differ from {bundle.flow_columns}")
     now = 0.0  # virtual seconds; the gate's clock reads it
     server = GateServer(
         bundle,
@@ -379,7 +383,7 @@ def _drive_user(
 
 def _summarize(spec: UserSpec, events: Sequence[MergedEvent]) -> ReportRow:
     admitted = sum(1 for e in events if e.outcome.admitted)
-    abandoned = sum(1 for e in events if e.outcome.reason == "abandoned")
+    abandoned = sum(1 for e in events if e.outcome.reason == ABANDONED)
     rejected = len(events) - admitted - abandoned
     difficulties = [e.outcome.difficulty for e in events if e.outcome.difficulty is not None]
     scores = [e.score for e in events if e.score is not None]

@@ -172,6 +172,40 @@ def test_score_refuses_a_bundle_the_gate_cannot_use(workspace, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_score_prices_a_tam_document_whose_first_user_holds_no_interval(workspace, capsys):
+    tam = workspace["models"] / "tam.json"
+    doc = json.loads(tam.read_text())
+    doc["intervals"] = {"0.0.0.0": [], "10.0.0.1": [[500.0, 510.0]]}
+    tam.write_text(json.dumps(doc))
+    policy = workspace["root"] / "tam.kv"
+    policy.write_text("policy_kind: linear\ncontexts: tam\n")
+    base = ["score", "--models", str(workspace["models"]), "--policy", str(policy),
+            "--features", "900,18,16,25000,620", "--csv"]
+    rows = []
+    for user, arrival in [("10.0.0.1", "505"), ("10.0.0.1", "700"), ("0.0.0.0", "505")]:
+        assert main(base + ["--user", user, "--arrival", arrival]) == EXIT_OK
+        rows.append(capsys.readouterr().out.strip().splitlines()[1].split(","))
+    inside, after, empty = rows
+    assert (inside[2], inside[6]) == ("0.000000", "0")
+    assert after[5] == "tam" and 0 < int(after[6]) < 10
+    assert (empty[2], empty[5], empty[6]) == ("10.000000", "tam", "10")
+
+
+def test_score_refuses_a_policy_none_of_whose_contexts_the_bundle_holds(workspace, capsys):
+    models = workspace["root"] / "no-feed"
+    assert main(["train", "--log", str(workspace["log"]), "--out", str(models)]) == EXIT_OK
+    capsys.readouterr()
+    policy = workspace["root"] / "dabr.kv"
+    policy.write_text("policy_kind: linear_shifted\ncontexts: dabr\n")
+    base = ["score", "--models", str(models), "--user", "10.0.0.1", "--arrival", "500",
+            "--features", "900,18,16,25000,620"]
+    assert main(base + ["--policy", str(policy)]) == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+    # the default policy enables all three contexts and prices with the two the bundle holds
+    assert main(base + ["--policy", str(workspace["policy"])]) == EXIT_OK
+    assert "difficulty" in capsys.readouterr().out
+
+
 def test_score_refuses_an_unreadable_manifest(workspace, capsys):
     manifest = workspace["models"] / "manifest.json"
     manifest.write_text(manifest.read_text().rstrip().rstrip("}") + ",}")  # a trailing comma

@@ -178,8 +178,6 @@ def test_extract_context(trained):
     assert len(flow_vector) == 5
     assert all(0.0 <= x <= 1.0 for x in flow_vector)
     assert len(ip_attributes) == trained.ip_table.dimension
-    # without an embedder the dotted quad embeds by octets
-    assert extract_context("10.0.0.1", 0.0, flow, trained.scaler)[0] == octet_embedding("10.0.0.1")
 
 
 @pytest.mark.parametrize(
@@ -198,7 +196,7 @@ def test_extract_context(trained):
 def test_extract_context_rejects_bad_fields(arrival, flow):
     scaler = FeatureScaler(mins=(0.0, 0.0), maxs=(10.0, 10.0))
     with pytest.raises(SchemaError):
-        extract_context("u", arrival, flow, scaler)
+        extract_context("u", arrival, flow, scaler, octet_embedding)
 
 
 def test_ip_table_from_csv(tmp_path):

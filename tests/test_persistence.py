@@ -3,13 +3,16 @@ from __future__ import annotations
 import json
 import math
 import random
+import shutil
 
 import pytest
 
+from capow import synthlog
 from capow.cluster_models import CentroidModel, FlowModel, TemporalModel
 from capow.errors import ConfigError
 from capow.flow_ingest import FeatureScaler, IpAttributeTable
 from capow.persistence import (
+    MODEL_KINDS,
     ModelBundle,
     dumps_model,
     load_bundle,
@@ -17,6 +20,8 @@ from capow.persistence import (
     save_bundle,
     save_model,
 )
+from capow.policy_engine import make_policy
+from capow.protocol import GateServer, Request
 
 
 def random_scaler(rng):
@@ -238,3 +243,44 @@ def test_contexts_are_the_models_a_bundle_holds(tmp_path, trained):
     directory = save_bundle(trained, tmp_path / "models")
     edit_json(directory / "manifest.json", lambda m: m.update(contexts_enabled=["tam"]))
     assert load_bundle(directory).contexts_enabled == frozenset({"dabr", "tam", "flow"})
+
+
+def containers(holder):
+    """(holder, key, value) for every non-empty array and object under ``holder``, at any depth."""
+    for key, value in (holder.items() if isinstance(holder, dict) else enumerate(holder)):
+        if isinstance(value, (list, dict)) and value:
+            yield holder, key, value
+            yield from containers(value)
+
+
+def empty_one_container(doc, rng) -> None:
+    """Empty one nested array of ``doc``, or empty one object's entry and move it first."""
+    found = list(containers(doc))
+    objects = [c for c in found if isinstance(c[2], dict)]
+    if objects and rng.random() < 0.5:
+        holder, key, obj = rng.choice(objects)
+        first = rng.choice(list(obj))
+        holder[key] = {first: [], **{k: v for k, v in obj.items() if k != first}}
+    else:
+        holder, key, _ = rng.choice([c for c in found if isinstance(c[2], list)])
+        holder[key] = []
+
+
+def test_a_bundle_with_an_emptied_container_is_refused_or_prices(tmp_path, trained):
+    base = save_bundle(trained, tmp_path / "base")
+    rng = random.Random(0)
+    users = [*list(trained.tam.intervals)[:6], *list(trained.ip_table.rows)[:6], "198.51.100.7", "opaque-id"]
+    requests = [Request(rng.choice(users), rng.random() * 1440.0,
+                        synthlog.sample_flow(rng, rng.choice(("legitimate", "malicious"))))
+                for _ in range(160)]
+    policies = (make_policy("linear"), make_policy("linear_shifted"), make_policy("error_range", rng_seed=7))
+    for seed in range(300):
+        rng = random.Random(seed)
+        directory = shutil.copytree(base, tmp_path / str(seed))
+        edit_json(directory / f"{rng.choice(sorted(MODEL_KINDS))}.json", lambda doc: empty_one_container(doc, rng))
+        try:
+            gate = GateServer(load_bundle(directory), policies[seed % 3])
+        except ConfigError:
+            continue
+        for req in requests:
+            gate.handle_request(req)

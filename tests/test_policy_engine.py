@@ -10,6 +10,7 @@ import pytest
 from capow import synthlog
 from capow.errors import ConfigError
 from capow.policy_engine import (
+    POLICY_KINDS,
     POLICY_TABLE,
     PolicyConfig,
     load_policy,
@@ -59,6 +60,16 @@ def test_policy_validation():
 def test_make_policy_refuses_non_finite_numbers_and_levels_above_the_top(overrides):
     with pytest.raises(ConfigError):
         make_policy("linear_shifted", **overrides)
+
+
+def test_a_policy_config_takes_its_kinds_span_as_make_policy_does():
+    for kind in POLICY_KINDS:
+        assert PolicyConfig(policy_kind=kind) == make_policy(kind)
+    shifted = PolicyConfig(policy_kind="linear_shifted")
+    assert (shifted.difficulty_lo, shifted.difficulty_hi) == (10, 20)
+    assert map_difficulty(shifted, 0.0) == 10
+    # a bound that is given keeps its value; only the omitted one takes the kind's
+    assert PolicyConfig(policy_kind="linear_shifted", difficulty_hi=15).difficulty_lo == 10
 
 
 def test_each_policy_field_is_set_by_exactly_one_file_key():

@@ -204,6 +204,35 @@ def test_an_eval_log_with_other_flow_columns_is_refused(corpus, replay_scenario_
     assert not (tmp_path / "out" / "events.csv").exists()
 
 
+@pytest.mark.parametrize("pick", [lambda flows: flows[1:3], lambda flows: flows[::-1]],
+                         ids=["two-columns", "reversed"])
+def test_synthesized_flows_on_other_training_columns_are_refused(corpus, tmp_path, capsys, pick):
+    train_log = tmp_path / "train.csv"
+    rewrite_flow_columns(corpus["logs"][0], train_log, pick)
+    (tmp_path / "p.kv").write_text("policy_kind: linear\n")
+    scenario = tmp_path / "s.kv"
+    scenario.write_text("train_log: train.csv\npolicy: p.kv\n\n[user 10.0.0.1]\nrole: legitimate\n"
+                        "rate_rps: 4\nrequests: 4\nflow: legitimate\n")
+    with pytest.raises(SchemaError, match="flow columns .* differ from"):
+        run_simulation(load_scenario(scenario))
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "events.csv").exists()
+
+
+def test_a_replay_only_roster_runs_on_other_flow_columns(corpus, tmp_path):
+    for day, log in enumerate(corpus["logs"]):
+        rewrite_flow_columns(log, tmp_path / f"day{day}.csv", lambda flows: flows[::-1])
+    (tmp_path / "p.kv").write_text("policy_kind: linear\n")
+    scenario = tmp_path / "s.kv"
+    scenario.write_text(f"train_log: day0.csv\neval_log: day1.csv\npolicy: p.kv\nip_attributes: {corpus['ip']}\n\n"
+                        "[user 203.0.113.1]\nrole: attacker\nrate_rps: 8\nrequests: 4\nflow: replay\n")
+    result = run_simulation(load_scenario(scenario))
+    assert [row.user_id for row in result.report] == ["203.0.113.1"]
+    assert result.report[0].requests_sent == 4
+    assert all(event.outcome.reason != "bad-request" for event in result.events)
+
+
 def test_replay_and_spoof_simulation(replay_scenario_file):
     result = run_simulation(load_scenario(replay_scenario_file))
     by_user = {row.user_id: row for row in result.report}
