@@ -282,6 +282,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.timeout < 0:
+        raise ConfigError(f"--timeout must be at least 0, got {args.timeout}")
     request = Request(
         user_id=args.user,
         arrival_min=_check_arrival(args.arrival),

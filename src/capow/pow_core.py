@@ -20,7 +20,6 @@ defense); the gate does not use it, because each session holds its own.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import secrets
 import struct
@@ -32,6 +31,7 @@ from .errors import SolveTimeout
 
 SEED_BYTES = 16
 MAX_DIFFICULTY = 64  # sanity bound; 2^64 expected work is already absurd
+NONCE_SPACE = 1 << 64  # nonces are u64 on the wire and in the hash input
 DEFAULT_EXPIRY_MS = 30_000
 
 REJECT_EXPIRED = "expired"
@@ -103,9 +103,18 @@ def leading_zero_bits(digest: bytes) -> int:
     return len(digest) * 8 - value.bit_length()
 
 
+def difficulty_bound(difficulty: int) -> bytes:
+    """The largest SHA-256 digest with at least ``difficulty`` leading zero bits.
+
+    A digest meets difficulty d exactly when ``digest <= difficulty_bound(d)``,
+    compared as bytes; the solver and the verifier both test it this way.
+    """
+    return ((1 << (256 - difficulty)) - 1).to_bytes(32, "big")
+
+
 def check_solution(challenge: Challenge, nonce: int) -> bool:
     """The bare verification predicate: one hash evaluation."""
-    return leading_zero_bits(puzzle_digest(challenge, nonce)) >= challenge.difficulty
+    return puzzle_digest(challenge, nonce) <= difficulty_bound(challenge.difficulty)
 
 
 def issue_challenge(
@@ -142,33 +151,50 @@ def solve(
 ) -> Solution:
     """Search nonces sequentially from ``start_nonce`` until the digest fits.
 
-    The search itself is unbounded; a caller worried about very hard
-    puzzles passes ``deadline_s`` (wall-clock seconds) or ``max_attempts``
-    (hash evaluations) and handles :class:`SolveTimeout`.
+    A digest fits when it is at most :func:`difficulty_bound` of the
+    challenge's difficulty, compared as bytes. Nonces are hashed in blocks
+    that end where ``nonce + 1`` is a multiple of ``deadline_check_every``,
+    and the clock is read once per block: a search past ``deadline_s``
+    (wall-clock seconds) stops at the end of the block it is in.
+    ``max_attempts`` cuts the last block short, so it is an exact budget
+    of hash evaluations. The search stays inside the u64 nonce space:
+    ``start_nonce`` must be in [0, 2^64), and a search that reaches 2^64
+    gives up. Without a deadline or a budget the search is unbounded in
+    practice; a caller worried about very hard puzzles passes one and
+    handles :class:`SolveTimeout`.
     """
+    if deadline_check_every < 1:
+        raise ValueError(f"deadline_check_every must be at least 1, got {deadline_check_every}")
+    if not 0 <= start_nonce < NONCE_SPACE:
+        raise ValueError(f"start_nonce {start_nonce} outside [0, 2^64)")
     prefix = hashlib.sha256(_puzzle_prefix(challenge.user_id, challenge.issue_ms, challenge.seed))
-    threshold_bits = challenge.difficulty
-    digest_bits = 256
+    bound = difficulty_bound(challenge.difficulty)
     deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
     pack_nonce = struct.Struct(">Q").pack
-    nonces = (itertools.count(start_nonce) if max_attempts is None
-              else range(start_nonce, start_nonce + max_attempts))
-    for nonce in nonces:
-        h = prefix.copy()
-        h.update(pack_nonce(nonce))
-        digest = h.digest()
-        if digest_bits - int.from_bytes(digest, "big").bit_length() >= threshold_bits:
-            return Solution(
-                seed_digest=challenge.seed_digest(),
-                nonce=nonce,
-                attempts=nonce - start_nonce + 1,
-            )
-        if deadline_at is not None and (nonce + 1) % deadline_check_every == 0:
-            if time.monotonic() > deadline_at:
-                raise SolveTimeout(
-                    f"no solution after {nonce + 1 - start_nonce} attempts at difficulty {challenge.difficulty}"
+    stop = NONCE_SPACE if max_attempts is None else min(start_nonce + max_attempts, NONCE_SPACE)
+    lo = start_nonce
+    while lo < stop:
+        block_end = (lo // deadline_check_every + 1) * deadline_check_every
+        hi = min(block_end, stop)
+        for nonce in range(lo, hi):
+            h = prefix.copy()
+            h.update(pack_nonce(nonce))
+            if h.digest() <= bound:
+                return Solution(
+                    seed_digest=challenge.seed_digest(),
+                    nonce=nonce,
+                    attempts=nonce - start_nonce + 1,
                 )
-    raise SolveTimeout(f"no solution in {max_attempts} attempts at difficulty {challenge.difficulty}")
+        if hi == block_end and deadline_at is not None and time.monotonic() > deadline_at:
+            raise SolveTimeout(
+                f"no solution after {hi - start_nonce} attempts at difficulty {challenge.difficulty}"
+            )
+        lo = hi
+    if max_attempts is not None and start_nonce + max_attempts <= NONCE_SPACE:
+        raise SolveTimeout(f"no solution in {max_attempts} attempts at difficulty {challenge.difficulty}")
+    raise SolveTimeout(
+        f"no solution below nonce 2^64 after {stop - start_nonce} attempts at difficulty {challenge.difficulty}"
+    )
 
 
 @dataclass(frozen=True)

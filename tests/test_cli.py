@@ -282,6 +282,17 @@ def test_solve_refuses_a_port_past_65535(monkeypatch, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_solve_refuses_a_negative_timeout(monkeypatch, capsys):
+    def dial(*args, **kwargs):
+        raise AssertionError("solve dialled with a deadline already past")
+
+    monkeypatch.setattr(socket, "create_connection", dial)
+    code = main(["solve", "--port", "7757", "--user", "10.0.0.1", "--arrival", "500",
+                 "--features", "1,2,3,4,5", "--timeout", "-0.5"])
+    assert code == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--legit", "-1"], ["--attackers", "-1"], ["--days", "0"]],
                          ids=["negative-legit", "negative-attackers", "no-days"])
 def test_synth_refuses_a_count_below_its_floor(tmp_path, capsys, flags):

@@ -14,9 +14,11 @@ from capow.pow_core import (
     REJECT_REPLAY,
     REJECT_WRONG_SOLUTION,
     SEED_BYTES,
+    NONCE_SPACE,
     Challenge,
     ChallengeRegistry,
     check_solution,
+    difficulty_bound,
     issue_challenge,
     leading_zero_bits,
     pack_puzzle_input,
@@ -77,6 +79,22 @@ def test_leading_zero_bits_matches_oracle():
     for _ in range(500):
         digest = rng.randbytes(rng.randint(1, 32))
         assert leading_zero_bits(digest) == oracle_leading_zero_bits(digest)
+
+
+def test_difficulty_bound_agrees_with_leading_zero_bits():
+    rng = random.Random(5)
+    for d in range(MAX_DIFFICULTY + 1):
+        bound = difficulty_bound(d)
+        value = int.from_bytes(bound, "big")
+        digests = [bytes(32), b"\xff" * 32, bound, (value - 1).to_bytes(32, "big")]
+        if d > 0:
+            digests.append((value + 1).to_bytes(32, "big"))
+        # random digests with 0-9 leading zero bytes reach every d in 0..64 from both sides
+        for _ in range(40):
+            zeros = rng.randint(0, 9)
+            digests.append(bytes(zeros) + rng.randbytes(32 - zeros))
+        for digest in digests:
+            assert (digest <= bound) == (leading_zero_bits(digest) >= d), (d, digest.hex())
 
 
 # ── Challenge construction ───────────────────────────────────────────
@@ -160,6 +178,73 @@ def test_solve_max_attempts_is_an_exact_hash_budget():
         solve(golden(12), start_nonce=1000, max_attempts=290)
     with pytest.raises(SolveTimeout, match="no solution in 0 attempts"):
         solve(golden(0), max_attempts=0)
+
+
+def oracle_solve(challenge, start_nonce, max_attempts):
+    """The search by definition: one leading-zero count per nonce."""
+    for nonce in range(start_nonce, start_nonce + max_attempts):
+        if leading_zero_bits(puzzle_digest(challenge, nonce)) >= challenge.difficulty:
+            return nonce, nonce - start_nonce + 1
+    return f"no solution in {max_attempts} attempts at difficulty {challenge.difficulty}"
+
+
+@pytest.mark.parametrize("deadline_s,every", [(None, 4096), (3600.0, 4096), (3600.0, 7), (3600.0, 1)])
+def test_solve_matches_the_oracle_across_block_edges(deadline_s, every):
+    for d in range(13):
+        c = issue_challenge(b"oracle", d, now_ms=d, rng=random.Random(d))
+        for start_nonce in (0, 4095, 4096, 8190):
+            for max_attempts in (1, 2, 4098):
+                expected = oracle_solve(c, start_nonce, max_attempts)
+                try:
+                    found = solve(c, start_nonce=start_nonce, deadline_s=deadline_s,
+                                  deadline_check_every=every, max_attempts=max_attempts)
+                except SolveTimeout as exc:
+                    got = str(exc)
+                else:
+                    got = (found.nonce, found.attempts)
+                    assert check_solution(c, found.nonce)
+                assert got == expected, (d, start_nonce, max_attempts)
+
+
+def test_solve_past_its_deadline_stops_within_one_block():
+    hard = Challenge(user_id=b"u", issue_ms=0, seed=bytes(16), difficulty=MAX_DIFFICULTY)
+    with pytest.raises(SolveTimeout, match="no solution after 4096 attempts"):
+        solve(hard, deadline_s=0)
+    with pytest.raises(SolveTimeout, match="no solution after 1 attempts"):
+        solve(hard, start_nonce=4095, deadline_s=0)
+    with pytest.raises(SolveTimeout, match="no solution after 2 attempts"):
+        solve(hard, start_nonce=5, deadline_s=0, deadline_check_every=7)
+    # the clock is read where a block ends, not where a budget cuts one short
+    with pytest.raises(SolveTimeout, match="no solution in 10 attempts"):
+        solve(hard, deadline_s=0, max_attempts=10)
+    with pytest.raises(SolveTimeout, match="no solution after 4096 attempts"):
+        solve(hard, deadline_s=0, max_attempts=4096)
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_solve_refuses_a_block_size_below_one(every):
+    with pytest.raises(ValueError, match="deadline_check_every"):
+        solve(golden(0), deadline_s=1.0, deadline_check_every=every)
+    with pytest.raises(ValueError, match="deadline_check_every"):
+        solve(golden(0), deadline_check_every=every)
+
+
+@pytest.mark.parametrize("start_nonce", [-1, NONCE_SPACE])
+def test_solve_refuses_a_start_nonce_outside_u64(start_nonce):
+    with pytest.raises(ValueError, match="start_nonce"):
+        solve(golden(0), start_nonce=start_nonce)
+
+
+def test_solve_gives_up_at_the_end_of_the_nonce_space():
+    # golden(8) does not fit at the last u64 nonce
+    assert leading_zero_bits(puzzle_digest(golden(8), NONCE_SPACE - 1)) < 8
+    with pytest.raises(SolveTimeout, match="below nonce 2\\^64 after 1 attempts"):
+        solve(golden(8), start_nonce=NONCE_SPACE - 1)
+    with pytest.raises(SolveTimeout, match="below nonce 2\\^64 after 1 attempts"):
+        solve(golden(8), start_nonce=NONCE_SPACE - 1, deadline_s=3600.0, max_attempts=10)
+    # a budget that ends exactly at 2^64 is spent as a budget
+    with pytest.raises(SolveTimeout, match="no solution in 1 attempts"):
+        solve(golden(8), start_nonce=NONCE_SPACE - 1, max_attempts=1)
 
 
 def test_check_solution_threshold_not_equality():

@@ -326,6 +326,13 @@ def test_difficulty_sweep_rows():
     assert rows[-1].mean_attempts >= 1.0
 
 
+def test_difficulty_sweep_attempts_are_pinned():
+    # attempts depend only on the seeded challenges and the nonce order, never on the host
+    rows = difficulty_sweep(max_difficulty=12, trials=5, seed=0)
+    assert [r.mean_attempts for r in rows] == [
+        1.0, 2.2, 3.4, 6.2, 11.0, 56.8, 71.2, 102.0, 236.4, 676.4, 1306.8, 822.2, 4399.0]
+
+
 def test_write_sweep_csv(tmp_path):
     rows = [SweepRow(difficulty=1, trials=2, median_solve_s=0.5, mean_attempts=2.0)]
     path = write_sweep_csv(rows, tmp_path / "sweep.csv")
