@@ -2,7 +2,8 @@
 
 Subcommands cover the whole lifecycle: generate demo data, train models,
 inspect a single request's score, serve the gate, act as a solving
-client, replay a simulation scenario, and sweep puzzle difficulty.
+client, replay a simulation scenario, and price each puzzle difficulty
+in seconds at two measured hash rates.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (missing or unusable inputs, degraded training), 3 runtime error.
@@ -11,10 +12,13 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import logging
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import pow_core, simulate, synthlog
 from .cluster_models import DEFAULT_AGING_WINDOW_DAYS, DEFAULT_GAP_MERGE_MIN
@@ -25,6 +29,7 @@ from .errors import (
     EmptyTrainingSetError,
     ProtocolError,
     SchemaError,
+    SolveTimeout,
 )
 from .flow_ingest import MINUTES_PER_DAY
 from .kvconfig import as_float, as_int
@@ -41,6 +46,9 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
 POLICY_ENV = "CAPOW_POLICY"
+
+REFERENCE_HASHES = 1 << 18  # the reference solver's budget, ~0.15 s at ~1.8 M hashes/s
+NATIVE_BYTES = 16 << 20  # hashed by one hashlib.sha256 call: 2^18 64-byte compressions
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,11 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="measure solve cost across difficulty levels")
+    p = sub.add_parser("report", help="expected solve time per difficulty at two measured hash rates")
     p.add_argument("--max-difficulty", type=int, default=12)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", metavar="CSV", help="write the sweep table here")
+    p.add_argument("--out", type=Path, metavar="CSV", help="write the table here")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -317,14 +323,32 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def measure_hash_rates() -> tuple[float, float]:
+    """Puzzle hashes per second of process CPU: ``pow_core.solve``'s, then native SHA-256's."""
+    challenge = pow_core.issue_challenge(b"report", pow_core.MAX_DIFFICULTY, now_ms=0)
+    zeros = bytes(NATIVE_BYTES)
+    start = time.process_time()
+    with contextlib.suppress(SolveTimeout):  # a d 64 puzzle spends the whole budget
+        pow_core.solve(challenge, max_attempts=REFERENCE_HASHES)
+    middle = time.process_time()
+    hashlib.sha256(zeros)
+    end = time.process_time()
+    return REFERENCE_HASHES / (middle - start), NATIVE_BYTES // 64 / (end - middle)
+
+
 def cmd_report(args) -> int:
-    rows = simulate.difficulty_sweep(args.max_difficulty, args.trials, args.seed)
-    print(f"{'difficulty':>10} {'median s':>12} {'mean attempts':>15}")
-    for row in rows:
-        print(f"{row.difficulty:>10} {row.median_solve_s:>12.6f} {row.mean_attempts:>15.1f}")
+    if not 0 <= args.max_difficulty <= pow_core.MAX_DIFFICULTY:
+        raise ConfigError(f"max difficulty must be in [0, {pow_core.MAX_DIFFICULTY}], got {args.max_difficulty}")
+    reference, native = measure_hash_rates()
+    print(f"reference rate: {reference:.4g} hashes/s (pow_core.solve, process CPU)")
+    print(f"native ceiling: {native:.4g} hashes/s (hashlib.sha256, 64-byte compressions)")
+    rows = [(d, 2**d, 2**d / reference, 2**d / native) for d in range(args.max_difficulty + 1)]
+    print(f"{'difficulty':>10} {'hashes':>20} {'reference s':>12} {'native s':>12}")
+    for d, hashes, reference_s, native_s in rows:
+        print(f"{d:>10} {hashes:>20} {reference_s:>12.4g} {native_s:>12.4g}")
     if args.out:
-        path = simulate.write_sweep_csv(rows, args.out)
-        print(f"sweep table: {path}")
+        path = simulate.write_csv(args.out, ("difficulty", "hashes", "reference_s", "native_s"), rows)
+        print(f"table: {path}")
     return EXIT_OK
 
 

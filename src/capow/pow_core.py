@@ -113,8 +113,9 @@ def difficulty_bound(difficulty: int) -> bytes:
 
 
 def check_solution(challenge: Challenge, nonce: int) -> bool:
-    """The bare verification predicate: one hash evaluation."""
-    return puzzle_digest(challenge, nonce) <= difficulty_bound(challenge.difficulty)
+    """The bare verification predicate: one hash evaluation, none for a nonce outside [0, 2^64)."""
+    return 0 <= nonce < NONCE_SPACE and (
+        puzzle_digest(challenge, nonce) <= difficulty_bound(challenge.difficulty))
 
 
 def issue_challenge(
@@ -239,8 +240,9 @@ class ChallengeRegistry:
     def verify(self, seed_digest: bytes, nonce: int, now_ms: int | None = None) -> VerifyResult:
         """Check a submitted nonce against its outstanding challenge.
 
-        Exactly one hash evaluation happens when the challenge is live;
-        expired and unknown/consumed seeds are rejected without hashing.
+        Exactly one hash evaluation happens when the challenge is live and
+        the nonce is a u64; expired and unknown/consumed seeds, and any
+        other nonce, are rejected without hashing.
         """
         if now_ms is None:
             now_ms = int(time.time() * 1000)
@@ -251,7 +253,8 @@ class ChallengeRegistry:
             if challenge.expired(now_ms):
                 del self._pending[seed_digest]
                 return VerifyResult(accepted=False, reason=REJECT_EXPIRED, challenge=challenge)
-            self.hash_evaluations += 1
+            if 0 <= nonce < NONCE_SPACE:
+                self.hash_evaluations += 1
             if check_solution(challenge, nonce):
                 del self._pending[seed_digest]
                 return VerifyResult(accepted=True, challenge=challenge)

@@ -22,7 +22,6 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, ClassVar, NamedTuple
@@ -204,30 +203,25 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
 
 
 class ServerQueue:
-    """Bounded FIFO of admitted request ids."""
+    """Bounded count of admitted requests; each takes the next 1-based position."""
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
-        self._items: deque[str] = deque()
+        self._count = 0
         self._lock = threading.Lock()
 
-    def try_enqueue(self, request_id: str) -> int | None:
+    def try_enqueue(self) -> int | None:
         """Admit a request; returns its 1-based position, or None when full."""
         with self._lock:
-            if len(self._items) >= self.capacity:
+            if self._count >= self.capacity:
                 return None
-            self._items.append(request_id)
-            return len(self._items)
-
-    def pop(self) -> str | None:
-        with self._lock:
-            return self._items.popleft() if self._items else None
+            self._count += 1
+            return self._count
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return self._count
 
 
 @dataclass(slots=True)
@@ -392,7 +386,7 @@ class GateServer:
         elif not pow_core.check_solution(challenge, msg.nonce):
             reason = RejectReason.WRONG_SOLUTION
         else:
-            position = self.queue.try_enqueue(event.seed_digest)
+            position = self.queue.try_enqueue()
             if position is not None:
                 event.admitted, event.queue_position = True, position
                 return AcceptMsg(queue_position=position)

@@ -21,7 +21,6 @@ import logging
 import math
 import random
 import statistics
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -299,8 +298,8 @@ def run_simulation(scenario: SimulationScenario, out_dir: str | Path | None = No
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result.events_path = _write_csv(out_dir / "events.csv", EVENT_COLUMNS, (e.row() for e in events))
-        result.report_path = _write_csv(out_dir / "report.csv", REPORT_COLUMNS, (r.row() for r in report))
+        result.events_path = write_csv(out_dir / "events.csv", EVENT_COLUMNS, (e.row() for e in events))
+        result.report_path = write_csv(out_dir / "report.csv", REPORT_COLUMNS, (r.row() for r in report))
     return result
 
 
@@ -406,57 +405,10 @@ def _summarize(spec: UserSpec, events: Sequence[MergedEvent]) -> ReportRow:
     )
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
+def write_csv(path: Path, header: Sequence[str], rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     return path
-
-
-# ── Difficulty sweep ─────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    difficulty: int
-    trials: int
-    median_solve_s: float
-    mean_attempts: float
-
-
-def difficulty_sweep(max_difficulty: int = 12, trials: int = 30, seed: int = 0) -> list[SweepRow]:
-    """Median wall-clock solve time per difficulty level over fresh puzzles."""
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
-    if not 0 <= max_difficulty <= pow_core.MAX_DIFFICULTY:
-        raise ConfigError(f"max difficulty must be in [0, {pow_core.MAX_DIFFICULTY}], got {max_difficulty}")
-    rng = random.Random(seed)
-    rows = []
-    for d in range(max_difficulty + 1):
-        times = []
-        attempts = []
-        for _ in range(trials):
-            challenge = pow_core.issue_challenge(b"sweep", d, now_ms=0, rng=rng)
-            start = time.perf_counter()
-            solution = pow_core.solve(challenge)
-            times.append(time.perf_counter() - start)
-            attempts.append(solution.attempts)
-        rows.append(
-            SweepRow(
-                difficulty=d,
-                trials=trials,
-                median_solve_s=statistics.median(times),
-                mean_attempts=statistics.fmean(attempts),
-            )
-        )
-    return rows
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> Path:
-    return _write_csv(
-        Path(path),
-        ("difficulty", "trials", "median_solve_s", "mean_attempts"),
-        ([r.difficulty, r.trials, f"{r.median_solve_s:.6f}", f"{r.mean_attempts:.2f}"] for r in rows),
-    )
 

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from capow import cli
 from capow.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from capow.persistence import load_bundle
 from capow.policy_engine import load_policy
@@ -247,18 +248,29 @@ def test_serve_rejects_gate_config_it_cannot_serve(workspace, capsys, flags):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_report_sweep(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    code = main(["report", "--max-difficulty", "4", "--trials", "3", "--out", str(out)])
-    assert code == EXIT_OK
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "difficulty,trials,median_solve_s,mean_attempts"
-    assert len(lines) == 6  # header + difficulties 0..4
+def test_report_prices_each_difficulty_at_both_rates(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "measure_hash_rates", lambda: (1e6, 2e7))
+    out = tmp_path / "report.csv"
+    assert main(["report", "--max-difficulty", "10", "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "difficulty,hashes,reference_s,native_s"
+    assert lines[1] == "0,1,1e-06,5e-08"
+    assert lines[11] == "10,1024,0.001024,5.12e-05"
+    assert len(lines) == 12
+    printed = capsys.readouterr().out
+    assert "reference rate: 1e+06 hashes/s" in printed
+    assert "native ceiling: 2e+07 hashes/s" in printed
 
 
-@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-2"],
-                                   ["--max-difficulty", "65"], ["--max-difficulty", "-1"]],
-                         ids=["no-trials", "negative-trials", "difficulty-over-64", "negative-difficulty"])
+def test_report_runs_to_difficulty_64(capsys):
+    assert main(["report", "--max-difficulty", "64"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert len(rows) == 65
+    assert rows[-1].split()[:2] == ["64", str(2**64)]
+
+
+@pytest.mark.parametrize("flags", [["--max-difficulty", "65"], ["--max-difficulty", "-1"]],
+                         ids=["difficulty-over-64", "negative-difficulty"])
 def test_report_refuses_a_sweep_it_cannot_run(capsys, flags):
     assert main(["report", *flags]) == EXIT_USAGE
     assert "configuration error" in capsys.readouterr().err

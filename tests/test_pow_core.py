@@ -292,6 +292,18 @@ def test_registry_wrong_solution_keeps_challenge_live():
     assert reg.verify(digest, solution.nonce, now_ms=2).accepted
 
 
+@pytest.mark.parametrize("nonce", [-1, NONCE_SPACE])
+def test_registry_nonce_outside_u64_is_wrong_without_hashing(nonce):
+    # at d 0 every u64 nonce fits, so only the range can refuse these
+    assert not check_solution(golden(0), nonce)
+    reg = ChallengeRegistry()
+    c = reg.issue(b"u", 0, now_ms=0)
+    result = reg.verify(c.seed_digest(), nonce, now_ms=1)
+    assert (result.accepted, result.reason) == (False, REJECT_WRONG_SOLUTION)
+    assert reg.hash_evaluations == 0
+    assert reg.outstanding == 1
+
+
 def test_registry_expired_challenge_rejected_without_hashing():
     reg = ChallengeRegistry()
     c = reg.issue(b"u", 0, now_ms=0, expiry_ms=100)
@@ -325,6 +337,18 @@ def test_expected_attempts_scale_with_difficulty():
         ]
         totals[difficulty] = sum(attempts) / len(attempts)
     assert totals[6] > totals[2] * 4  # 16x expected; 4x leaves wide noise margin
+
+
+def test_solve_attempts_are_pinned():
+    # attempts depend only on the seeded challenges and the nonce order, never on the host
+    rng = random.Random(0)
+    means = []
+    for difficulty in range(13):
+        attempts = [solve(issue_challenge(b"sweep", difficulty, now_ms=0, rng=rng)).attempts
+                    for _ in range(5)]
+        means.append(sum(attempts) / len(attempts))
+    assert means == [
+        1.0, 2.2, 3.4, 6.2, 11.0, 56.8, 71.2, 102.0, 236.4, 676.4, 1306.8, 822.2, 4399.0]
 
 
 def test_default_expiry_constant():

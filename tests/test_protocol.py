@@ -201,14 +201,30 @@ def test_codec_fuzz_bytes_decode_or_protocol_error():
 
 def test_server_queue_positions_and_capacity():
     q = ServerQueue(capacity=2)
-    assert q.try_enqueue("a") == 1
-    assert q.try_enqueue("b") == 2
-    assert q.try_enqueue("c") is None
-    assert q.pop() == "a"
-    assert q.try_enqueue("c") == 2
+    assert q.try_enqueue() == 1
+    assert q.try_enqueue() == 2
+    assert q.try_enqueue() is None
     assert len(q) == 2
     with pytest.raises(ValueError):
         ServerQueue(capacity=0)
+
+
+def test_server_queue_gives_each_position_once_across_threads():
+    q = ServerQueue(capacity=250)
+    batches = []
+
+    def admit():
+        batches.append([q.try_enqueue() for _ in range(100)])
+
+    workers = [threading.Thread(target=admit) for _ in range(4)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    results = [p for batch in batches for p in batch]
+    assert sorted(p for p in results if p is not None) == list(range(1, 251))
+    assert results.count(None) == 150
+    assert len(q) == 250
 
 
 # ── Gate handlers (driven directly) ──────────────────────────────────

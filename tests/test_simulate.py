@@ -11,15 +11,7 @@ import pytest
 from capow import cli
 from capow.errors import ConfigError, SchemaError
 from capow.flow_ingest import RESERVED_COLUMNS
-from capow.simulate import (
-    HASH_RATE,
-    SweepRow,
-    UserSpec,
-    difficulty_sweep,
-    load_scenario,
-    run_simulation,
-    write_sweep_csv,
-)
+from capow.simulate import HASH_RATE, UserSpec, load_scenario, run_simulation
 
 
 def scenario_text(log_name, policy_name, ip_name):
@@ -317,25 +309,3 @@ def test_negative_solve_timeout_is_refused(scenario_file):
     with pytest.raises(ConfigError, match="solve_timeout_s"):
         dataclasses.replace(load_scenario(scenario_file), solve_timeout_s=-1.0)
 
-
-def test_difficulty_sweep_rows():
-    rows = difficulty_sweep(max_difficulty=3, trials=5, seed=2)
-    assert [r.difficulty for r in rows] == [0, 1, 2, 3]
-    assert all(r.trials == 5 for r in rows)
-    assert rows[0].mean_attempts == 1.0  # difficulty 0 always hits on the first nonce
-    assert rows[-1].mean_attempts >= 1.0
-
-
-def test_difficulty_sweep_attempts_are_pinned():
-    # attempts depend only on the seeded challenges and the nonce order, never on the host
-    rows = difficulty_sweep(max_difficulty=12, trials=5, seed=0)
-    assert [r.mean_attempts for r in rows] == [
-        1.0, 2.2, 3.4, 6.2, 11.0, 56.8, 71.2, 102.0, 236.4, 676.4, 1306.8, 822.2, 4399.0]
-
-
-def test_write_sweep_csv(tmp_path):
-    rows = [SweepRow(difficulty=1, trials=2, median_solve_s=0.5, mean_attempts=2.0)]
-    path = write_sweep_csv(rows, tmp_path / "sweep.csv")
-    text = path.read_text().splitlines()
-    assert text[0] == "difficulty,trials,median_solve_s,mean_attempts"
-    assert text[1].startswith("1,2,0.5")
