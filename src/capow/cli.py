@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                    help="bind address; port 0 picks a free port")
     p.add_argument("--queue-capacity", type=int, default=DEFAULT_QUEUE_CAPACITY)
-    p.add_argument("--expiry-ms", type=int, default=pow_core.DEFAULT_EXPIRY_MS)
+    p.add_argument("--expiry-ms", type=int, default=pow_core.DEFAULT_EXPIRY_MS, metavar="MS",
+                   help="a challenge's lifetime, and how long a connection stays open after its accept")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("solve", help="request admission from a gate and solve its puzzle")
@@ -144,7 +145,12 @@ def main(argv: list[str] | None = None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not in the exit-time flush
+        return code
+    except BrokenPipeError:  # stdout's reader left, as ``| head`` does (a socket's EPIPE reads transport)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"capow: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

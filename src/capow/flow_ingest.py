@@ -231,8 +231,8 @@ class IpAttributeTable:
     Loaded from a CSV with an ``ip`` column followed by numeric attribute
     columns. Vectors are min-max normalized over the table once, as it is
     built, so DAbR's default delta_max (the unit-hypercube diagonal) stays
-    meaningful. IPs absent from the feed embed to the configurable
-    ``fallback`` point, the mid-cube by default.
+    meaningful. IPs absent from the feed embed to the ``fallback`` point,
+    the mid-cube by default; a saved bundle stores it with the rows.
     """
 
     rows: dict[str, tuple[float, ...]]
@@ -257,7 +257,7 @@ class IpAttributeTable:
         self._scaled = {ip: scaler.transform(raw) for ip, raw in self.rows.items()}
 
     @classmethod
-    def from_csv(cls, path: str | Path, fallback: Sequence[float] | None = None) -> "IpAttributeTable":
+    def from_csv(cls, path: str | Path) -> "IpAttributeTable":
         path = Path(path)
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -277,7 +277,7 @@ class IpAttributeTable:
                     rows[row[0].strip()] = tuple(float(c) for c in row[1:])
                 except ValueError:
                     raise SchemaError(f"{path}:{lineno}: non-numeric attribute value") from None
-        return cls(rows, tuple(header[1:]), fallback=tuple(fallback) if fallback else None)
+        return cls(rows, tuple(header[1:]))
 
     @property
     def dimension(self) -> int:

@@ -33,6 +33,7 @@ SEED_BYTES = 16
 MAX_DIFFICULTY = 64  # sanity bound; 2^64 expected work is already absurd
 NONCE_SPACE = 1 << 64  # nonces are u64 on the wire and in the hash input
 DEFAULT_EXPIRY_MS = 30_000
+DEADLINE_CHECK_EVERY = 4096  # nonces hashed between two reads of the clock
 
 REJECT_EXPIRED = "expired"
 REJECT_REPLAY = "replay"
@@ -145,64 +146,43 @@ def issue_challenge(
 def solve(
     challenge: Challenge,
     *,
-    start_nonce: int = 0,
     deadline_s: float | None = None,
-    deadline_check_every: int = 4096,
     max_attempts: int | None = None,
 ) -> Solution:
-    """Search nonces sequentially from ``start_nonce`` until the digest fits.
+    """Search nonces sequentially from zero until the digest fits.
 
     A digest fits when it is at most :func:`difficulty_bound` of the
     challenge's difficulty, compared as bytes. Nonces are hashed in blocks
-    that end where ``nonce + 1`` is a multiple of ``deadline_check_every``,
-    and the clock is read once per block: a search past ``deadline_s``
-    (wall-clock seconds) stops at the end of the block it is in.
-    ``max_attempts`` cuts the last block short, so it is an exact budget
-    of hash evaluations. The search stays inside the u64 nonce space:
-    ``start_nonce`` must be in [0, 2^64), and a search that reaches 2^64
-    gives up. Without a deadline or a budget the search is unbounded in
-    practice; a caller worried about very hard puzzles passes one and
-    handles :class:`SolveTimeout`.
+    of :data:`DEADLINE_CHECK_EVERY`, and the clock is read once per block:
+    a search past ``deadline_s`` (wall-clock seconds) stops at the end of
+    the block it is in. ``max_attempts`` cuts the last block short, so it
+    is an exact budget of hash evaluations. The search stays inside the
+    u64 nonce space, and a search that reaches 2^64 gives up. Without a
+    deadline or a budget the search is unbounded in practice; a caller
+    worried about very hard puzzles passes one and handles
+    :class:`SolveTimeout`.
     """
-    if deadline_check_every < 1:
-        raise ValueError(f"deadline_check_every must be at least 1, got {deadline_check_every}")
-    if not 0 <= start_nonce < NONCE_SPACE:
-        raise ValueError(f"start_nonce {start_nonce} outside [0, 2^64)")
     prefix = hashlib.sha256(_puzzle_prefix(challenge.user_id, challenge.issue_ms, challenge.seed))
     bound = difficulty_bound(challenge.difficulty)
     deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
     pack_nonce = struct.Struct(">Q").pack
-    stop = NONCE_SPACE if max_attempts is None else min(start_nonce + max_attempts, NONCE_SPACE)
-    lo = start_nonce
-    while lo < stop:
-        block_end = (lo // deadline_check_every + 1) * deadline_check_every
-        hi = min(block_end, stop)
+    stop = NONCE_SPACE if max_attempts is None else min(max_attempts, NONCE_SPACE)
+    for lo in range(0, stop, DEADLINE_CHECK_EVERY):
+        hi = min(lo + DEADLINE_CHECK_EVERY, stop)
         for nonce in range(lo, hi):
             h = prefix.copy()
             h.update(pack_nonce(nonce))
             if h.digest() <= bound:
-                return Solution(
-                    seed_digest=challenge.seed_digest(),
-                    nonce=nonce,
-                    attempts=nonce - start_nonce + 1,
-                )
-        if hi == block_end and deadline_at is not None and time.monotonic() > deadline_at:
-            raise SolveTimeout(
-                f"no solution after {hi - start_nonce} attempts at difficulty {challenge.difficulty}"
-            )
-        lo = hi
-    if max_attempts is not None and start_nonce + max_attempts <= NONCE_SPACE:
-        raise SolveTimeout(f"no solution in {max_attempts} attempts at difficulty {challenge.difficulty}")
-    raise SolveTimeout(
-        f"no solution below nonce 2^64 after {stop - start_nonce} attempts at difficulty {challenge.difficulty}"
-    )
+                return Solution(seed_digest=challenge.seed_digest(), nonce=nonce, attempts=nonce + 1)
+        if hi == lo + DEADLINE_CHECK_EVERY and deadline_at is not None and time.monotonic() > deadline_at:
+            raise SolveTimeout(f"no solution after {hi} attempts at difficulty {challenge.difficulty}")
+    raise SolveTimeout(f"no solution in {stop} attempts at difficulty {challenge.difficulty}")
 
 
 @dataclass(frozen=True)
 class VerifyResult:
     accepted: bool
     reason: str | None = None
-    challenge: Challenge | None = None
 
 
 class ChallengeRegistry:
@@ -252,14 +232,14 @@ class ChallengeRegistry:
                 return VerifyResult(accepted=False, reason=REJECT_REPLAY)
             if challenge.expired(now_ms):
                 del self._pending[seed_digest]
-                return VerifyResult(accepted=False, reason=REJECT_EXPIRED, challenge=challenge)
+                return VerifyResult(accepted=False, reason=REJECT_EXPIRED)
             if 0 <= nonce < NONCE_SPACE:
                 self.hash_evaluations += 1
             if check_solution(challenge, nonce):
                 del self._pending[seed_digest]
-                return VerifyResult(accepted=True, challenge=challenge)
+                return VerifyResult(accepted=True)
             # wrong nonce: the challenge stays live until solved or expired
-            return VerifyResult(accepted=False, reason=REJECT_WRONG_SOLUTION, challenge=challenge)
+            return VerifyResult(accepted=False, reason=REJECT_WRONG_SOLUTION)
 
     @property
     def outstanding(self) -> int:

@@ -10,7 +10,7 @@ Field-level layouts are documented on each message class. Each TCP
 session holds its own authoritative challenge and ends with a verdict on
 its audit record; a SOLUTION references the challenge only by seed
 digest, so clients cannot downgrade their own difficulty. One thread
-serves every connection; a session ends one I/O timeout after its accept.
+serves every connection; each closes ``expiry_ms`` after its accept.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
 class ServerQueue:
     """Bounded count of admitted requests; each takes the next 1-based position."""
 
-    def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
-            raise ValueError("queue capacity must be positive")
+            raise ConfigError(f"queue capacity must be at least 1, got {capacity}")
         self.capacity = capacity
         self._count = 0
         self._lock = threading.Lock()
@@ -266,10 +266,12 @@ class GateServer:
     Models and policy are immutable and shared across sessions; the queue
     is the only synchronized mutable state. Each challenge lives in the
     :class:`Session` that :meth:`handle_request` returns until
-    :meth:`handle_solution` or :meth:`abandon` gives it its one verdict.
-    ``start()`` binds a TCP listener (port 0 picks an ephemeral port) and
-    serves every connection from one selector loop on one thread, closing
-    each ``io_timeout_s`` after its accept; while events come fast, the
+    :meth:`handle_solution`, :meth:`abandon` or its deadline gives it its
+    one verdict. ``start()`` binds a TCP listener (port 0 picks an
+    ephemeral port) and serves every connection from one selector loop on
+    one thread, closing each ``expiry_ms`` after its accept: one still
+    waiting for its SOLUTION is first sent REJECT ``expired``, and at
+    ``expiry_ms`` 0 no connection is answered. While events come fast, the
     loop polls for up to :data:`POLL_SPIN_S` before it sleeps. Each session
     step reads one frame, no longer than the longest REQUEST the bundle can
     price and then a SOLUTION, and answers it with one write: a connection
@@ -288,15 +290,12 @@ class GateServer:
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         expiry_ms: int = pow_core.DEFAULT_EXPIRY_MS,
         clock_ms: Callable[[], int] | None = None,
-        io_timeout_s: float = DEFAULT_IO_TIMEOUT_S,
         seed_rng: random.Random | None = None,
     ) -> None:
         if bundle.scaler is None:
             raise ConfigError("model bundle has no feature scaler")
         if not 0 <= expiry_ms <= 0xFFFFFFFF:
             raise ConfigError(f"expiry_ms must be in [0, {0xFFFFFFFF}], got {expiry_ms}")
-        if queue_capacity < 1:
-            raise ConfigError(f"queue capacity must be at least 1, got {queue_capacity}")
         self.bundle = bundle
         self.policy = policy
         self.registry = ChallengeRegistry()  # never filled; perfbench's ServerProbe.state reads it
@@ -317,7 +316,6 @@ class GateServer:
         self._request_body = _REQUEST_HEAD.size + 0xFFFF + 10 + 8 * bundle.scaler.dimension
         self._host = host
         self._port = port
-        self._io_timeout_s = io_timeout_s
         self._address: tuple[str, int] | None = None
         self._wake: socket.socket | None = None
         self._thread: threading.Thread | None = None
@@ -395,7 +393,7 @@ class GateServer:
         return RejectMsg(reason=reason)
 
     def abandon(self, session: Session | None) -> None:
-        """Settle a session whose SOLUTION never came: a hang-up, an I/O timeout, a client that gave up."""
+        """Settle a session whose SOLUTION never came: a hang-up, a stop, a client that gave up."""
         if session is not None and session.event.admitted is None:
             session.event.admitted, session.event.reason = False, ABANDONED
 
@@ -413,7 +411,7 @@ class GateServer:
 
     def _serve(self, listener: socket.socket, wake: socket.socket) -> None:
         """Serve every connection from one selector loop until :meth:`stop` writes to ``wake``."""
-        # one timeout for all, so deadlines fall in accept order: the first open connection expires next
+        # one lifetime for all, so deadlines fall in accept order: the first open connection expires next
         self._conns: dict[socket.socket, _Connection] = {}
         with selectors.DefaultSelector() as self._sel, listener, wake:
             self._sel.register(listener, selectors.EVENT_READ)
@@ -422,7 +420,7 @@ class GateServer:
                 while True:
                     now = time.monotonic()
                     while (first := next(iter(self._conns.values()), None)) is not None and first.due <= now:
-                        self._close(first)
+                        self._expire(first)
                     for key, _ in self._poll(None if first is None else first.due - now):
                         if key.data is not None:
                             self._step(key.data)
@@ -435,7 +433,7 @@ class GateServer:
                                 logger.debug("accept failed: %s", exc)
                                 continue
                             sock.setblocking(False)
-                            conn = self._conns[sock] = _Connection(sock, time.monotonic() + self._io_timeout_s)
+                            conn = self._conns[sock] = _Connection(sock, time.monotonic() + self.expiry_ms / 1000)
                             self._sel.register(sock, selectors.EVENT_READ, conn)
             finally:
                 for conn in list(self._conns.values()):
@@ -495,11 +493,21 @@ class GateServer:
             conn.sock.sendall(encode_message(RejectMsg(reason=RejectReason.BAD_REQUEST)))
             return False
 
+    def _expire(self, conn: _Connection) -> None:
+        """Close a connection at its deadline; a session it holds is first refused as expired."""
+        if conn.session is not None:  # an open connection's session has no verdict yet
+            conn.session.event.admitted, conn.session.event.reason = False, RejectReason.EXPIRED.label
+            try:  # 6 bytes after the 34-byte CHALLENGE: the send buffer holds them
+                conn.sock.sendall(encode_message(RejectMsg(reason=RejectReason.EXPIRED)))
+            except OSError as exc:  # the peer is gone; its challenge expired all the same
+                logger.debug("expired session I/O error: %s", exc)
+        self._close(conn)
+
     def _close(self, conn: _Connection) -> None:
         del self._conns[conn.sock]
         self._sel.unregister(conn.sock)
         conn.sock.close()
-        self.abandon(conn.session)  # no SOLUTION came: a hang-up, a bad length header, the deadline
+        self.abandon(conn.session)  # no SOLUTION came: a hang-up, a bad length header, a stop
 
     @property
     def address(self) -> tuple[str, int]:

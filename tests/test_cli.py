@@ -269,6 +269,15 @@ def test_report_runs_to_difficulty_64(capsys):
     assert rows[-1].split()[:2] == ["64", str(2**64)]
 
 
+def test_report_into_a_closed_pipe_ends_quietly():
+    # the report measures for ~0.3 s before its first write; the reader is gone long before
+    proc = subprocess.Popen([sys.executable, "-m", "capow.cli", "report", "--max-difficulty", "64"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (EXIT_OK, b"")
+
+
 @pytest.mark.parametrize("flags", [["--max-difficulty", "65"], ["--max-difficulty", "-1"]],
                          ids=["difficulty-over-64", "negative-difficulty"])
 def test_report_refuses_a_sweep_it_cannot_run(capsys, flags):

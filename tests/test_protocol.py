@@ -205,7 +205,7 @@ def test_server_queue_positions_and_capacity():
     assert q.try_enqueue() == 2
     assert q.try_enqueue() is None
     assert len(q) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ServerQueue(capacity=0)
 
 
@@ -524,12 +524,29 @@ def test_undecodable_second_frame_gets_a_bad_request_verdict(trained):
         assert verdict(gate.events[-1]) == (False, "bad-request")
 
 
-def test_silent_peer_is_abandoned_at_the_io_timeout(trained):
-    with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
+def test_silent_peer_is_sent_expired_at_the_challenge_expiry(trained):
+    with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
         with socket.create_connection(gate.address, timeout=10) as sock:
+            started = time.monotonic()
             assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
-            wait_for(lambda: gate.events[-1].admitted is not None)
-            assert verdict(gate.events[-1]) == (False, "abandoned")
+            assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.EXPIRED)
+            assert 0.3 <= time.monotonic() - started < SESSION_BOUND_S
+            assert sock.recv(1) == b""
+        assert verdict(gate.events[-1]) == (False, "expired")
+
+
+def test_a_solve_that_outlasts_the_expiry_reads_expired(trained, monkeypatch):
+    real_solve = pow_core.solve
+
+    def slow_solve(*args, **kwargs):
+        time.sleep(0.5)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(pow_core, "solve", slow_solve)
+    with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        outcome = client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address)
+        assert (outcome.admitted, outcome.reason) == (False, "expired")
+        assert verdict(gate.events[-1]) == (False, "expired")
 
 
 def test_hang_ups_leave_only_abandoned_records(trained):
@@ -584,14 +601,14 @@ def test_second_frame_fuzz_every_record_gets_a_verdict(trained):
 
 
 def trickle_until_closed(sock: socket.socket, parts, gap_s: float = 0.27) -> float:
-    """Send ``parts`` ``gap_s`` apart; return the seconds until the gate closed the connection."""
+    """Send ``parts`` ``gap_s`` apart; return the seconds until the gate sent its REJECT or closed."""
     sock.settimeout(gap_s)
     started = time.monotonic()
     for part in parts:
         try:
             sock.sendall(part)
-            if sock.recv(1) == b"":
-                return time.monotonic() - started
+            sock.recv(1)  # b"" at a close, else the first byte of the REJECT sent before it
+            return time.monotonic() - started
         except socket.timeout:
             continue
         except OSError:
@@ -606,37 +623,38 @@ def trickles(frame: bytes) -> list[list[bytes]]:
             [frame[at:at + 1] for at in range(len(frame))]]
 
 
-# parts come 0.9 I/O timeouts apart, so no single recv waits out the timeout; however
-# they are paced, a session must end within twice the timeout (0.6 s) of its accept,
-# plus scheduling slack
+# parts come 0.9 expiries apart, so no single recv waits out the expiry; however they
+# are paced, a session must end one expiry (0.3 s) after its accept, well within
+# twice that plus scheduling slack
 SESSION_BOUND_S = 0.6 + 0.25
 
 
-def test_trickled_request_is_cut_off_after_the_io_timeout(trained):
+def test_trickled_request_is_cut_off_unanswered_at_the_expiry(trained):
     frame = encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW))
-    with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
+    with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
         for parts in trickles(frame):
             with socket.create_connection(gate.address, timeout=10) as sock:
                 assert trickle_until_closed(sock, parts) < SESSION_BOUND_S
+                assert sock.recv(1) == b""
         assert gate.events == []
 
 
-def test_trickled_solution_is_abandoned_after_the_io_timeout(trained):
-    with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
+def test_trickled_solution_is_expired_at_the_expiry(trained):
+    with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
         for pacing in range(2):
             with socket.create_connection(gate.address, timeout=10) as sock:
                 challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
                 parts = trickles(encode_message(solve_challenge_msg(challenge, "10.0.0.1")))[pacing]
                 assert trickle_until_closed(sock, parts) < SESSION_BOUND_S
             wait_for(lambda: gate.events[-1].admitted is not None)
-            assert verdict(gate.events[-1]) == (False, "abandoned")
+            assert verdict(gate.events[-1]) == (False, "expired")
 
 
-def test_a_paced_session_ends_within_twice_the_io_timeout(trained):
+def test_a_paced_session_ends_at_the_expiry(trained):
     # each frame goes as its first two bytes, then the rest, every part 0.27 s after the
-    # last: each recv returns within the timeout, yet the session must not outlast 0.6 s
+    # last: each part comes within the expiry, yet the session must not outlast it
     replies = []
-    with GateServer(trained, make_policy("linear"), io_timeout_s=0.3) as gate:
+    with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
         with socket.create_connection(gate.address, timeout=10) as sock:
             started = time.monotonic()
             frame = encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW))
@@ -804,10 +822,10 @@ def test_stop_settles_an_open_session_promptly(trained):
         assert sock.recv(1) == b""
 
 
-def test_a_session_ends_one_io_timeout_after_its_accept(trained):
-    # the SOLUTION's parts come 0.45 s apart, each within one I/O timeout of the last; the
+def test_a_session_ends_one_expiry_after_its_accept(trained):
+    # the SOLUTION's parts come 0.45 s apart, each within one expiry of the last; the
     # session still ends at its one deadline, not at a read's
-    with GateServer(trained, make_policy("linear"), io_timeout_s=0.5) as gate:
+    with GateServer(trained, make_policy("linear"), expiry_ms=500) as gate:
         started = time.monotonic()
         with socket.create_connection(gate.address, timeout=10) as sock:
             challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
@@ -816,4 +834,4 @@ def test_a_session_ends_one_io_timeout_after_its_accept(trained):
             closed_after = time.monotonic() - started
         assert 0.5 <= closed_after < 0.8
         wait_for(lambda: gate.events[-1].admitted is not None)
-        assert verdict(gate.events[-1]) == (False, "abandoned")
+        assert verdict(gate.events[-1]) == (False, "expired")
