@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -203,6 +205,24 @@ def test_solve_past_its_deadline_stops_within_one_block():
         solve(hard, deadline_s=0, max_attempts=10)
     with pytest.raises(SolveTimeout, match="no solution after 4096 attempts"):
         solve(hard, deadline_s=0, max_attempts=4096)
+
+
+def test_solve_reads_the_clock_once_per_full_block(monkeypatch):
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return time.monotonic()
+
+    monkeypatch.setattr(pow_core, "time", SimpleNamespace(monotonic=monotonic, time=time.time))
+    hard = Challenge(user_id=b"u", issue_ms=0, seed=bytes(16), difficulty=MAX_DIFFICULTY)
+    # one read to set the deadline, then one where each of the two full blocks ends
+    with pytest.raises(SolveTimeout, match="no solution in 8193 attempts"):
+        solve(hard, deadline_s=3600.0, max_attempts=2 * pow_core.DEADLINE_CHECK_EVERY + 1)
+    assert len(reads) == 3
+    with pytest.raises(SolveTimeout, match="no solution in 8193 attempts"):
+        solve(hard, max_attempts=8193)
+    assert len(reads) == 3
 
 
 def test_solve_gives_up_at_the_end_of_the_nonce_space(monkeypatch):

@@ -209,6 +209,15 @@ def test_server_queue_positions_and_capacity():
         ServerQueue(capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_the_queue_refuses_a_capacity_below_one_for_itself_and_the_gate(trained, capacity):
+    message = f"queue capacity must be at least 1, got {capacity}"
+    with pytest.raises(ConfigError, match=message):
+        ServerQueue(capacity)
+    with pytest.raises(ConfigError, match=message):
+        GateServer(trained, make_policy("linear"), queue_capacity=capacity)
+
+
 def test_server_queue_gives_each_position_once_across_threads():
     q = ServerQueue(capacity=250)
     batches = []
@@ -547,6 +556,52 @@ def test_a_solve_that_outlasts_the_expiry_reads_expired(trained, monkeypatch):
         outcome = client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address)
         assert (outcome.admitted, outcome.reason) == (False, "expired")
         assert verdict(gate.events[-1]) == (False, "expired")
+
+
+def test_capow_solve_prints_a_rejection_for_a_solve_that_outlasts_the_expiry(trained, monkeypatch, capsys):
+    real_solve = pow_core.solve
+
+    def slow_solve(*args, **kwargs):
+        time.sleep(0.5)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(pow_core, "solve", slow_solve)
+    with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        host, port = gate.address
+        code = cli.main(["solve", "--host", host, "--port", str(port), "--user", "10.0.0.1",
+                         "--arrival", "500", "--features", ",".join(map(str, LEGIT_FLOW))])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("rejected (expired): ")
+
+
+def test_silent_peers_are_expired_in_accept_order(trained):
+    with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        socks, accepted = [], []
+        try:
+            for i in range(3):
+                socks.append(socket.create_connection(gate.address, timeout=10))
+                accepted.append(time.monotonic())
+                reply = exchange(socks[-1], Request(f"10.0.0.{i + 1}", 500.0, LEGIT_FLOW))
+                assert isinstance(reply, ChallengeMsg)
+                time.sleep(0.1)
+            for sock, started in zip(socks, accepted):
+                assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.EXPIRED)
+                assert 0.3 <= time.monotonic() - started < SESSION_BOUND_S
+                assert sock.recv(1) == b""
+        finally:
+            for sock in socks:
+                sock.close()
+        assert [e.user_id for e in gate.events] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        assert {verdict(e) for e in gate.events} == {(False, "expired")}
+
+
+def test_at_expiry_zero_the_gate_answers_no_connection(trained):
+    with GateServer(trained, make_policy("linear"), expiry_ms=0) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            assert sock.recv(1) == b""
+        outcome = client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address, io_timeout_s=10)
+        assert (outcome.admitted, outcome.reason) == (False, "transport")
+        assert gate.events == []
 
 
 def test_hang_ups_leave_only_abandoned_records(trained):
