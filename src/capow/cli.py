@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address; port 0 picks a free port")
     p.add_argument("--queue-capacity", type=int, default=DEFAULT_QUEUE_CAPACITY)
     p.add_argument("--expiry-ms", type=int, default=pow_core.DEFAULT_EXPIRY_MS, metavar="MS",
-                   help="a challenge's lifetime, and how long a connection stays open after its accept")
+                   help="a challenge's lifetime, and how long a connection stays open after its accept "
+                        "(at most 120 s)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("solve", help="request admission from a gate and solve its puzzle")

@@ -10,7 +10,8 @@ Field-level layouts are documented on each message class. Each TCP
 session holds its own authoritative challenge and ends with a verdict on
 its audit record; a SOLUTION references the challenge only by seed
 digest, so clients cannot downgrade their own difficulty. One thread
-serves every connection; each closes ``expiry_ms`` after its accept.
+serves every connection; each closes ``expiry_ms`` after its accept, or
+:data:`DEFAULT_IO_TIMEOUT_S` if that comes first.
 """
 
 from __future__ import annotations
@@ -269,9 +270,11 @@ class GateServer:
     :meth:`handle_solution`, :meth:`abandon` or its deadline gives it its
     one verdict. ``start()`` binds a TCP listener (port 0 picks an
     ephemeral port) and serves every connection from one selector loop on
-    one thread, closing each ``expiry_ms`` after its accept: one still
-    waiting for its SOLUTION is first sent REJECT ``expired``, and at
-    ``expiry_ms`` 0 no connection is answered. While events come fast, the
+    one thread, closing each ``expiry_ms`` after its accept, or
+    :data:`DEFAULT_IO_TIMEOUT_S` if that comes first: one still waiting for
+    its SOLUTION is first sent REJECT ``expired``, and at ``expiry_ms`` 0 no
+    connection is answered. Over TCP a challenge's lifetime thus counts from
+    the accept, not from its ``issue_ms``. While events come fast, the
     loop polls for up to :data:`POLL_SPIN_S` before it sleeps. Each session
     step reads one frame, no longer than the longest REQUEST the bundle can
     price and then a SOLUTION, and answers it with one write: a connection
@@ -412,6 +415,7 @@ class GateServer:
     def _serve(self, listener: socket.socket, wake: socket.socket) -> None:
         """Serve every connection from one selector loop until :meth:`stop` writes to ``wake``."""
         # one lifetime for all, so deadlines fall in accept order: the first open connection expires next
+        lifetime_s = min(self.expiry_ms / 1000, DEFAULT_IO_TIMEOUT_S)
         self._conns: dict[socket.socket, _Connection] = {}
         with selectors.DefaultSelector() as self._sel, listener, wake:
             self._sel.register(listener, selectors.EVENT_READ)
@@ -433,7 +437,7 @@ class GateServer:
                                 logger.debug("accept failed: %s", exc)
                                 continue
                             sock.setblocking(False)
-                            conn = self._conns[sock] = _Connection(sock, time.monotonic() + self.expiry_ms / 1000)
+                            conn = self._conns[sock] = _Connection(sock, time.monotonic() + lifetime_s)
                             self._sel.register(sock, selectors.EVENT_READ, conn)
             finally:
                 for conn in list(self._conns.values()):

@@ -209,15 +209,6 @@ def test_server_queue_positions_and_capacity():
         ServerQueue(capacity=0)
 
 
-@pytest.mark.parametrize("capacity", [0, -1])
-def test_the_queue_refuses_a_capacity_below_one_for_itself_and_the_gate(trained, capacity):
-    message = f"queue capacity must be at least 1, got {capacity}"
-    with pytest.raises(ConfigError, match=message):
-        ServerQueue(capacity)
-    with pytest.raises(ConfigError, match=message):
-        GateServer(trained, make_policy("linear"), queue_capacity=capacity)
-
-
 def test_server_queue_gives_each_position_once_across_threads():
     q = ServerQueue(capacity=250)
     batches = []
@@ -368,10 +359,14 @@ def test_queue_overflow_rejects_overloaded(trained):
     assert verdict(session.event) == (False, "overloaded")
 
 
-@pytest.mark.parametrize("bad", [{"expiry_ms": -1}, {"expiry_ms": 2**32}, {"queue_capacity": 0}],
-                         ids=["negative-expiry", "expiry-over-u32", "no-queue"])
-def test_gate_refuses_config_it_cannot_serve(trained, bad):
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("bad, message", [
+    ({"expiry_ms": -1}, r"expiry_ms must be in \[0, 4294967295\], got -1"),
+    ({"expiry_ms": 2**32}, r"expiry_ms must be in \[0, 4294967295\], got 4294967296"),
+    ({"queue_capacity": 0}, "queue capacity must be at least 1, got 0"),
+    ({"queue_capacity": -1}, "queue capacity must be at least 1, got -1"),
+], ids=["negative-expiry", "expiry-over-u32", "no-queue", "negative-queue"])
+def test_gate_refuses_config_it_cannot_serve(trained, bad, message):
+    with pytest.raises(ConfigError, match=message):
         GateServer(trained, make_policy("linear"), **bad)
     GateServer(trained, make_policy("linear"), expiry_ms=2**32 - 1, queue_capacity=1)
 
@@ -542,6 +537,16 @@ def test_silent_peer_is_sent_expired_at_the_challenge_expiry(trained):
             assert 0.3 <= time.monotonic() - started < SESSION_BOUND_S
             assert sock.recv(1) == b""
         assert verdict(gate.events[-1]) == (False, "expired")
+
+
+def test_a_long_expiry_still_closes_a_silent_peer_at_the_cap(trained, monkeypatch):
+    monkeypatch.setattr(protocol, "DEFAULT_IO_TIMEOUT_S", 0.3)
+    with GateServer(trained, make_policy("linear"), expiry_ms=2**32 - 1) as gate:
+        with socket.create_connection(gate.address, timeout=10) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""  # no REQUEST, no reply
+            assert 0.3 <= time.monotonic() - started < SESSION_BOUND_S
+        assert gate.events == []
 
 
 def test_a_solve_that_outlasts_the_expiry_reads_expired(trained, monkeypatch):
