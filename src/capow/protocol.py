@@ -39,7 +39,7 @@ logger = logging.getLogger(__name__)
 
 MAX_FRAME_BYTES = 1 << 20
 DEFAULT_QUEUE_CAPACITY = 1024
-DEFAULT_IO_TIMEOUT_S = 120.0
+DEFAULT_IO_TIMEOUT_S = 120.0  # a client's network timeout, and the longest the gate keeps a connection open
 # While the serving loop's recent waits for an event average under this, it polls without
 # blocking for up to this long before it sleeps. Under load the next frame mostly comes
 # sooner, so the thread is not put to sleep and woken once per frame, and the scheduler
