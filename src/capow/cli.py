@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, metavar="DIR")
     p.add_argument("--policy", metavar="FILE", help=f"policy file (or ${POLICY_ENV})")
     p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-                   help="bind address; port 0 picks a free port")
+                   help="bind address, [::1]:PORT for an IPv6 one; port 0 picks a free port")
     p.add_argument("--queue-capacity", type=int, default=DEFAULT_QUEUE_CAPACITY)
     p.add_argument("--expiry-ms", type=int, default=pow_core.DEFAULT_EXPIRY_MS, metavar="MS",
                    help="a challenge's lifetime, and how long a connection stays open after its accept "
@@ -198,6 +198,7 @@ def _port(raw: str) -> int:
 
 def _parse_endpoint(raw: str) -> tuple[str, int]:
     host, sep, port = raw.rpartition(":")
+    host = host[1:-1] if host.startswith("[") and host.endswith("]") else host  # as in [::1]:7757
     if not sep or not host:
         raise ConfigError(f"endpoint must look like host:port, got {raw!r}")
     return host, _port(port)

@@ -150,7 +150,7 @@ def load_bundle(directory: str | Path) -> ModelBundle:
         raise ConfigError(f"{manifest_path}: not a capow manifest")
     files = manifest.get("files", {})
     if not isinstance(files, dict) or "scaler" not in files:
-        raise ConfigError(f"{directory}: bundle has no scaler")
+        raise ConfigError(f"{manifest_path}: bundle has no scaler")
     columns = manifest.get("flow_columns", [])
     if not isinstance(columns, list) or not all(isinstance(x, str) for x in (*files.values(), *columns)):
         raise ConfigError(f"{manifest_path}: file names and flow columns must be strings")

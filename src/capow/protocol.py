@@ -7,8 +7,8 @@ queue position or REJECT with a reason code.
 
 Frames are length-prefixed: ``u32be body length || u8 msg_type || payload``.
 Field-level layouts are documented on each message class. Each TCP
-session holds its own authoritative challenge and ends with a verdict on
-its audit record; a SOLUTION references the challenge only by seed
+session holds the only copy of its challenge and audit record, and ends
+with a verdict on it; a SOLUTION references the challenge only by seed
 digest, so clients cannot downgrade their own difficulty. One thread
 serves every connection; each closes ``expiry_ms`` after its accept, or
 :data:`DEFAULT_IO_TIMEOUT_S` if that comes first.
@@ -227,18 +227,17 @@ class ServerQueue:
 
 @dataclass(slots=True)
 class GateEvent:
-    """The one audit record of a request: its score, its price and its verdict.
+    """The audit record of one challenged request: its score, its price and its verdict.
 
-    A request refused before scoring has no ``score``, ``difficulty`` or
-    ``seed_digest``; a challenged one has ``admitted`` None until its
-    session's verdict. A refusal's ``reason`` is a REJECT label or ``abandoned``.
+    Only its :class:`Session` holds it. ``admitted`` is None until the
+    verdict; a refusal's ``reason`` is a REJECT label or ``abandoned``.
     """
 
     user_id: str
     arrival_min: float
-    score: ContextScore | None = None
-    difficulty: int | None = None
-    seed_digest: str | None = None
+    score: ContextScore
+    difficulty: int
+    seed_digest: str
     admitted: bool | None = None
     reason: str | None = None
     queue_position: int | None = None
@@ -265,12 +264,13 @@ class GateServer:
     """Scores requests, issues puzzles, verifies solutions, queues admissions.
 
     Models and policy are immutable and shared across sessions; the queue
-    is the only synchronized mutable state. Each challenge lives in the
-    :class:`Session` that :meth:`handle_request` returns until
+    is the only synchronized mutable state. A challenge and its record live
+    only in the :class:`Session` that :meth:`handle_request` returns, until
     :meth:`handle_solution`, :meth:`abandon` or its deadline gives it its
     one verdict. ``start()`` binds a TCP listener (port 0 picks an
-    ephemeral port) and serves every connection from one selector loop on
-    one thread, closing each ``expiry_ms`` after its accept, or
+    ephemeral port; an IPv6 literal host binds IPv6) and serves every
+    connection from one selector loop on one thread, closing each
+    ``expiry_ms`` after its accept, or
     :data:`DEFAULT_IO_TIMEOUT_S` if that comes first: one still waiting for
     its SOLUTION is first sent REJECT ``expired``, and at ``expiry_ms`` 0 no
     connection is answered. Over TCP a challenge's lifetime thus counts from
@@ -304,7 +304,7 @@ class GateServer:
         self.registry = ChallengeRegistry()  # never filled; perfbench's ServerProbe.state reads it
         self.queue = ServerQueue(queue_capacity)
         self.expiry_ms = expiry_ms
-        self.events: list[GateEvent] = []
+        self.events: list[GateEvent] = []  # never filled; perfbench's ServerProbe.state reads it
         self._clock_ms = clock_ms or (lambda: int(time.time() * 1000))
         self._seed_rng = seed_rng
         self._embedder = bundle.embedder()
@@ -353,8 +353,6 @@ class GateServer:
         try:
             score, difficulty = self.price(req)
         except SchemaError:
-            self.events.append(GateEvent(req.user_id, req.arrival_min, admitted=False,
-                                         reason=RejectReason.BAD_REQUEST.label))
             return RejectMsg(reason=RejectReason.BAD_REQUEST), None
 
         challenge = pow_core.issue_challenge(
@@ -362,7 +360,6 @@ class GateServer:
         )
         event = GateEvent(req.user_id, req.arrival_min, score, difficulty,
                           challenge.seed_digest().hex())
-        self.events.append(event)
         logger.debug("%s", event)
         reply = ChallengeMsg(
             difficulty=difficulty,
@@ -404,7 +401,8 @@ class GateServer:
 
     def start(self) -> tuple[str, int]:
         """Bind and serve on a background thread; returns the bound address."""
-        listener = socket.create_server((self._host, self._port))
+        family = socket.AF_INET6 if ":" in self._host else socket.AF_INET  # a hostname binds IPv4
+        listener = socket.create_server((self._host, self._port), family=family)
         listener.setblocking(False)
         wake, self._wake = socket.socketpair()
         self._address = listener.getsockname()[:2]

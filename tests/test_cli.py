@@ -216,12 +216,13 @@ def test_score_refuses_an_unreadable_manifest(workspace, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_score_refuses_a_policy_number_it_cannot_price_with(workspace, capsys):
+def test_score_refuses_a_policy_it_cannot_price_with(workspace, capsys):
     policy = workspace["root"] / "broken.kv"
     base = ["score", "--models", str(workspace["models"]), "--policy", str(policy),
             "--user", "198.51.100.66", "--arrival", "3", "--features", "8,120,1,800000,64"]
     for text in ["epsilon: nan", "score_min: nan", "weights: nan, 1, 1", "score_max: inf",
-                 "difficulty_max: 1000", "difficulty_max: " + "9" * 401]:
+                 "difficulty_max: 1000", "difficulty_max: " + "9" * 401,
+                 "score_min: 1\nscore_min: 2", "score_min 1"]:  # a key given twice; a line with no ':'
         policy.write_text(f"policy_kind: linear_shifted\n{text}\n")
         assert main(base) == EXIT_USAGE, text
         assert "configuration error" in capsys.readouterr().err
@@ -236,6 +237,12 @@ def test_serve_rejects_bad_endpoint(workspace):
     code = main(["serve", "--models", str(workspace["models"]),
                  "--policy", str(workspace["policy"]), "--listen", "nonsense"])
     assert code == EXIT_USAGE
+
+
+def test_an_endpoint_may_bracket_an_ipv6_address():
+    assert cli._parse_endpoint("[::1]:0") == ("::1", 0)
+    assert cli._parse_endpoint("::1:7757") == ("::1", 7757)
+    assert cli._parse_endpoint("127.0.0.1:7757") == ("127.0.0.1", 7757)
 
 
 @pytest.mark.parametrize("flags", [["--expiry-ms", "-1"], ["--expiry-ms", "5000000000"],

@@ -230,7 +230,8 @@ def test_bundle_refuses_a_non_finite_model_number(tmp_path, trained, kind, field
     lambda m: "[1]",
     lambda m: json.dumps({**m, "files": {**m["files"], "tam": 7}}),
     lambda m: json.dumps({**m, "flow_columns": 5}),
-], ids=["trailing-comma", "not-an-object", "file-name-not-a-string", "flow-columns-not-a-list"])
+    lambda m: json.dumps({**m, "files": {k: v for k, v in m["files"].items() if k != "scaler"}}),
+], ids=["trailing-comma", "not-an-object", "file-name-not-a-string", "flow-columns-not-a-list", "no-scaler"])
 def test_bundle_refuses_a_manifest_it_cannot_read(tmp_path, trained, rewrite):
     directory = save_bundle(trained, tmp_path / "models")
     manifest = directory / "manifest.json"

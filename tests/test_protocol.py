@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -55,6 +57,23 @@ def verdict(event) -> tuple:
 def exchange(sock: socket.socket, msg) -> object:
     sock.sendall(encode_message(msg))
     return decode_message(read_frame(sock))
+
+
+def opened_sessions(gate: GateServer) -> list:
+    """Each session ``gate.handle_request`` returns from now on, or None for a refused REQUEST.
+
+    The gate keeps no record of its own: this list is where a test reads them.
+    """
+    handled = []
+    handle_request = gate.handle_request
+
+    def recorded(req):
+        reply, session = handle_request(req)
+        handled.append(session)
+        return reply, session
+
+    gate.handle_request = recorded
+    return handled
 
 
 # ── Message codec ────────────────────────────────────────────────────
@@ -239,10 +258,9 @@ def test_handle_request_issues_challenge_and_logs_scores(gate):
     req = Request("10.0.0.1", 500.0, LEGIT_FLOW)
     reply, session = gate.handle_request(req)
     assert isinstance(reply, ChallengeMsg)
-    assert session.event is gate.events[-1]
     assert session.challenge.seed == reply.seed
     assert 10 <= reply.difficulty <= 20
-    event = gate.events[-1]
+    event = session.event
     assert event.user_id == "10.0.0.1"
     assert 0 <= event.score.phi <= 10
     assert event.score.deciding_model in {"dabr", "tam", "flow"}
@@ -267,7 +285,6 @@ def test_handle_request_rejects_bad_vectors(gate):
     assert gate.handle_request(Request("u", float("nan"), LEGIT_FLOW)) == refused
     inf_flow = LEGIT_FLOW[:-1] + (float("inf"),)
     assert gate.handle_request(Request("u", 10.0, inf_flow)) == refused
-    assert gate.events[-1].admitted is False
 
 
 def test_full_admission_cycle_and_replay(gate):
@@ -276,19 +293,18 @@ def test_full_admission_cycle_and_replay(gate):
     accepted = gate.handle_solution(session, solution)
     assert isinstance(accepted, AcceptMsg)
     assert accepted.queue_position == 1
-    event = next(e for e in gate.events if e.seed_digest == solution.seed_digest.hex())
-    assert event is session.event
-    assert event.admitted is True
-    assert event.queue_position == 1
+    event = session.event
+    assert event.seed_digest == solution.seed_digest.hex()
+    settled = (True, None, 1)
+    assert (event.admitted, event.reason, event.queue_position) == settled
     # a settled session cannot be answered again, and the replay leaves the record alone
     replay = gate.handle_solution(session, solution)
     assert replay.reason is RejectReason.REPLAY
-    assert (event.admitted, event.reason, event.queue_position) == (True, None, 1)
-    # so does any later message, and it adds no record
-    recorded = len(gate.events)
+    assert (event.admitted, event.reason, event.queue_position) == settled
+    # so does any later message
     unknown = SolutionMsg(seed_digest=random.Random(7).randbytes(32), nonce=0)
     assert gate.handle_solution(session, unknown) == RejectMsg(reason=RejectReason.REPLAY)
-    assert len(gate.events) == recorded
+    assert (event.admitted, event.reason, event.queue_position) == settled
     assert len(gate.queue) == 1
 
 
@@ -419,6 +435,7 @@ def test_client_session_bad_request_outcome(trained):
 def test_client_session_abandons_on_hard_puzzle(trained):
     policy = make_policy("linear_shifted", difficulty_lo=40, difficulty_hi=60)
     with GateServer(trained, policy) as gate:
+        handled = opened_sessions(gate)
         outcome = client_session(
             Request("198.51.100.1", 100.0, ATTACK_FLOW), gate.address, solve_deadline_s=0.05
         )
@@ -426,8 +443,14 @@ def test_client_session_abandons_on_hard_puzzle(trained):
         assert outcome.reason == "abandoned"
         assert outcome.difficulty >= 40
         # the server's record of the hang-up reads the same
-        wait_for(lambda: gate.events[-1].admitted is not None)
-        assert verdict(gate.events[-1]) == (False, "abandoned")
+        wait_for(lambda: handled[-1].event.admitted is not None)
+        assert verdict(handled[-1].event) == (False, "abandoned")
+
+
+def test_a_gate_on_an_ipv6_address_admits_a_session(trained):
+    with GateServer(trained, make_policy("linear"), host="::1") as gate:
+        assert gate.address[0] == "::1"
+        assert client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address).admitted
 
 
 def test_client_session_transport_failure():
@@ -477,6 +500,7 @@ def test_concurrent_sessions(trained):
     import threading
 
     with GateServer(trained, make_policy("linear")) as gate:
+        handled = opened_sessions(gate)
         results = []
         lock = threading.Lock()
 
@@ -494,12 +518,13 @@ def test_concurrent_sessions(trained):
             t.join()
         assert len(results) == 8
         assert all(r.admitted for r in results)
-        positions = sorted(e.queue_position for e in gate.events if e.queue_position)
+        positions = sorted(s.event.queue_position for s in handled)
         assert positions == list(range(1, 9))
 
 
 def test_solution_must_name_its_own_sessions_challenge(trained):
     with GateServer(trained, make_policy("linear")) as gate:
+        handled = opened_sessions(gate)
         # session A is admitted at position 1
         with socket.create_connection(gate.address, timeout=10) as a:
             challenge_a = exchange(a, Request("10.0.0.1", 500.0, LEGIT_FLOW))
@@ -510,43 +535,46 @@ def test_solution_must_name_its_own_sessions_challenge(trained):
             challenge_b = exchange(b, Request("10.0.0.2", 600.0, LEGIT_FLOW))
             assert isinstance(challenge_b, ChallengeMsg)
             assert exchange(b, solution_a) == RejectMsg(reason=RejectReason.BAD_REQUEST)
-        record_a = next(e for e in gate.events if e.seed_digest == solution_a.seed_digest.hex())
+        record_a, record_b = (s.event for s in handled)
+        assert record_a.seed_digest == solution_a.seed_digest.hex()
         assert (record_a.admitted, record_a.reason, record_a.queue_position) == (True, None, 1)
-        digest_b = hashlib.sha256(challenge_b.seed).hexdigest()
-        record_b = next(e for e in gate.events if e.seed_digest == digest_b)
+        assert record_b.seed_digest == hashlib.sha256(challenge_b.seed).hexdigest()
         assert (record_b.admitted, record_b.reason) == (False, "bad-request")
         assert len(gate.queue) == 1
 
 
 def test_undecodable_second_frame_gets_a_bad_request_verdict(trained):
     with GateServer(trained, make_policy("linear")) as gate:
+        handled = opened_sessions(gate)
         with socket.create_connection(gate.address, timeout=10) as sock:
             assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
             sock.sendall(bytes.fromhex("000000020300"))  # a SOLUTION with a 1-byte body
             assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.BAD_REQUEST)
-        wait_for(lambda: gate.events[-1].admitted is not None)
-        assert verdict(gate.events[-1]) == (False, "bad-request")
+        wait_for(lambda: handled[-1].event.admitted is not None)
+        assert verdict(handled[-1].event) == (False, "bad-request")
 
 
 def test_silent_peer_is_sent_expired_at_the_challenge_expiry(trained):
     with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        handled = opened_sessions(gate)
         with socket.create_connection(gate.address, timeout=10) as sock:
             started = time.monotonic()
             assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
             assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.EXPIRED)
             assert 0.3 <= time.monotonic() - started < SESSION_BOUND_S
             assert sock.recv(1) == b""
-        assert verdict(gate.events[-1]) == (False, "expired")
+        assert verdict(handled[-1].event) == (False, "expired")
 
 
 def test_a_long_expiry_still_closes_a_silent_peer_at_the_cap(trained, monkeypatch):
     monkeypatch.setattr(protocol, "DEFAULT_IO_TIMEOUT_S", 0.3)
     with GateServer(trained, make_policy("linear"), expiry_ms=2**32 - 1) as gate:
+        handled = opened_sessions(gate)
         with socket.create_connection(gate.address, timeout=10) as sock:
             started = time.monotonic()
             assert sock.recv(1) == b""  # no REQUEST, no reply
             assert 0.3 <= time.monotonic() - started < SESSION_BOUND_S
-        assert gate.events == []
+        assert handled == []
 
 
 def test_a_solve_that_outlasts_the_expiry_reads_expired(trained, monkeypatch):
@@ -558,9 +586,10 @@ def test_a_solve_that_outlasts_the_expiry_reads_expired(trained, monkeypatch):
 
     monkeypatch.setattr(pow_core, "solve", slow_solve)
     with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        handled = opened_sessions(gate)
         outcome = client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address)
         assert (outcome.admitted, outcome.reason) == (False, "expired")
-        assert verdict(gate.events[-1]) == (False, "expired")
+        assert verdict(handled[-1].event) == (False, "expired")
 
 
 def test_capow_solve_prints_a_rejection_for_a_solve_that_outlasts_the_expiry(trained, monkeypatch, capsys):
@@ -581,6 +610,7 @@ def test_capow_solve_prints_a_rejection_for_a_solve_that_outlasts_the_expiry(tra
 
 def test_silent_peers_are_expired_in_accept_order(trained):
     with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        handled = opened_sessions(gate)
         socks, accepted = [], []
         try:
             for i in range(3):
@@ -596,17 +626,18 @@ def test_silent_peers_are_expired_in_accept_order(trained):
         finally:
             for sock in socks:
                 sock.close()
-        assert [e.user_id for e in gate.events] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
-        assert {verdict(e) for e in gate.events} == {(False, "expired")}
+        assert [s.event.user_id for s in handled] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        assert {verdict(s.event) for s in handled} == {(False, "expired")}
 
 
 def test_at_expiry_zero_the_gate_answers_no_connection(trained):
     with GateServer(trained, make_policy("linear"), expiry_ms=0) as gate:
+        handled = opened_sessions(gate)
         with socket.create_connection(gate.address, timeout=10) as sock:
             assert sock.recv(1) == b""
         outcome = client_session(Request("10.0.0.1", 500.0, LEGIT_FLOW), gate.address, io_timeout_s=10)
         assert (outcome.admitted, outcome.reason) == (False, "transport")
-        assert gate.events == []
+        assert handled == []
 
 
 def test_hang_ups_leave_only_abandoned_records(trained):
@@ -618,21 +649,43 @@ def test_hang_ups_leave_only_abandoned_records(trained):
                 assert isinstance(reply, ChallengeMsg)
 
     with GateServer(trained, make_policy("linear")) as gate:
+        handled = opened_sessions(gate)
         workers = [threading.Thread(target=hang_up, args=(250,)) for _ in range(2)]
         for w in workers:
             w.start()
         for w in workers:
             w.join(timeout=120)
             assert not w.is_alive()
-        wait_for(lambda: len(gate.events) == 500 and all(e.admitted is not None for e in gate.events))
-        assert {verdict(e) for e in gate.events} == {(False, "abandoned")}
+        wait_for(lambda: len(handled) == 500 and all(s.event.admitted is not None for s in handled))
+        assert {verdict(s.event) for s in handled} == {(False, "abandoned")}
         assert gate.registry.outstanding == 0
         assert len(gate.queue) == 0
+
+
+def test_hang_ups_with_long_ids_leave_nothing_behind(trained):
+    # 300 ids of 60,000 bytes are 18 MB: a gate that kept one record per REQUEST would hold them
+    gate = GateServer(trained, make_policy("linear"))
+    tracemalloc.start()
+    try:
+        gate.start()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(300):
+            with socket.create_connection(gate.address, timeout=10) as sock:
+                reply = exchange(sock, Request(f"{i:05d}".ljust(60_000, "a"), 500.0, ATTACK_FLOW))
+                assert isinstance(reply, ChallengeMsg)
+        gate.stop()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gate.stop()
+    assert abs(retained) < 1 << 20
 
 
 def test_second_frame_fuzz_every_record_gets_a_verdict(trained):
     rng = random.Random(41)
     with GateServer(trained, make_policy("linear")) as gate:
+        handled = opened_sessions(gate)
         for i in range(200):
             with socket.create_connection(gate.address, timeout=10) as sock:
                 challenge = exchange(sock, Request("10.0.0.1", 500.0 + i % 100, LEGIT_FLOW))
@@ -654,8 +707,8 @@ def test_second_frame_fuzz_every_record_gets_a_verdict(trained):
                     read_frame(sock)
                 except (ProtocolError, OSError):
                     pass  # the gate may already have answered and closed
-        wait_for(lambda: len(gate.events) == 200 and all(e.admitted is not None for e in gate.events))
-        reasons = {e.reason for e in gate.events}
+        wait_for(lambda: len(handled) == 200 and all(s.event.admitted is not None for s in handled))
+        reasons = {s.event.reason for s in handled}
         assert reasons <= {None, "bad-request", "wrong-solution", "abandoned"}
         assert {"bad-request", "wrong-solution", "abandoned"} <= reasons
 
@@ -692,22 +745,24 @@ SESSION_BOUND_S = 0.6 + 0.25
 def test_trickled_request_is_cut_off_unanswered_at_the_expiry(trained):
     frame = encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW))
     with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        handled = opened_sessions(gate)
         for parts in trickles(frame):
             with socket.create_connection(gate.address, timeout=10) as sock:
                 assert trickle_until_closed(sock, parts) < SESSION_BOUND_S
                 assert sock.recv(1) == b""
-        assert gate.events == []
+        assert handled == []
 
 
 def test_trickled_solution_is_expired_at_the_expiry(trained):
     with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        handled = opened_sessions(gate)
         for pacing in range(2):
             with socket.create_connection(gate.address, timeout=10) as sock:
                 challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
                 parts = trickles(encode_message(solve_challenge_msg(challenge, "10.0.0.1")))[pacing]
                 assert trickle_until_closed(sock, parts) < SESSION_BOUND_S
-            wait_for(lambda: gate.events[-1].admitted is not None)
-            assert verdict(gate.events[-1]) == (False, "expired")
+            wait_for(lambda: handled[-1].event.admitted is not None)
+            assert verdict(handled[-1].event) == (False, "expired")
 
 
 def test_a_paced_session_ends_at_the_expiry(trained):
@@ -715,6 +770,7 @@ def test_a_paced_session_ends_at_the_expiry(trained):
     # last: each part comes within the expiry, yet the session must not outlast it
     replies = []
     with GateServer(trained, make_policy("linear"), expiry_ms=300) as gate:
+        handled = opened_sessions(gate)
         with socket.create_connection(gate.address, timeout=10) as sock:
             started = time.monotonic()
             frame = encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW))
@@ -733,7 +789,7 @@ def test_a_paced_session_ends_at_the_expiry(trained):
             closed_after = time.monotonic() - started
         assert replies == []
         assert closed_after < SESSION_BOUND_S
-        assert gate.events == []
+        assert handled == []
 
 
 # ── One serving loop ─────────────────────────────────────────────────
@@ -802,25 +858,30 @@ def test_the_longest_request_the_bundle_can_price_is_challenged(trained):
             assert isinstance(exchange(sock, longest), ChallengeMsg)
 
 
-@pytest.mark.parametrize("announce", [lambda bound: bound + 1, lambda bound: MAX_FRAME_BYTES],
-                         ids=["bound+1", "1MiB"])
-def test_a_request_prefix_over_its_bound_is_refused_before_its_body(trained, announce):
+@pytest.mark.parametrize("first", [
+    lambda bound: struct.pack(">I", bound + 1),  # refused before its body
+    lambda bound: struct.pack(">I", MAX_FRAME_BYTES),
+    lambda bound: encode_message(SolutionMsg(seed_digest=bytes(32), nonce=0)),  # decodes, but no REQUEST
+], ids=["bound+1", "1MiB", "solution-first"])
+def test_a_first_frame_that_is_no_request_opens_no_session(trained, first):
     with GateServer(trained, make_policy("linear")) as gate:
+        handled = opened_sessions(gate)
         with socket.create_connection(gate.address, timeout=10) as sock:
-            sock.sendall(struct.pack(">I", announce(request_bound(trained))))
+            sock.sendall(first(request_bound(trained)))
             assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.BAD_REQUEST)
-        assert gate.events == []
+        assert handled == []
 
 
 def test_a_second_frame_prefix_over_a_solution_is_refused_before_its_body(trained):
     solution_body = len(body(encode_message(SolutionMsg(seed_digest=bytes(32), nonce=0))))
     with GateServer(trained, make_policy("linear")) as gate:
+        handled = opened_sessions(gate)
         with socket.create_connection(gate.address, timeout=10) as sock:
             assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
             sock.sendall(struct.pack(">I", solution_body + 1))
             assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.BAD_REQUEST)
-        wait_for(lambda: gate.events[-1].admitted is not None)
-        assert verdict(gate.events[-1]) == (False, "abandoned")
+        wait_for(lambda: handled[-1].event.admitted is not None)
+        assert verdict(handled[-1].event) == (False, "abandoned")
 
 
 @pytest.mark.parametrize("junk, record", [
@@ -830,13 +891,14 @@ def test_a_second_frame_prefix_over_a_solution_is_refused_before_its_body(traine
 ])
 def test_junk_after_a_request_in_one_send_gets_a_challenge_then_a_verdict(trained, junk, record):
     with GateServer(trained, make_policy("linear")) as gate:
+        handled = opened_sessions(gate)
         with socket.create_connection(gate.address, timeout=10) as sock:
             sock.sendall(encode_message(Request("10.0.0.1", 500.0, LEGIT_FLOW)) + junk)
             assert isinstance(decode_message(read_frame(sock)), ChallengeMsg)
             sock.shutdown(socket.SHUT_WR)
             assert decode_message(read_frame(sock)) == RejectMsg(reason=RejectReason.BAD_REQUEST)
-        wait_for(lambda: gate.events[-1].admitted is not None)
-        assert verdict(gate.events[-1]) == (False, record)
+        wait_for(lambda: handled[-1].event.admitted is not None)
+        assert verdict(handled[-1].event) == (False, record)
 
 
 def test_a_session_that_raises_does_not_stop_the_next(trained, monkeypatch, gate_handler_errors_fail):
@@ -872,13 +934,14 @@ def test_an_idle_gate_sleeps_after_one_poll(trained, monkeypatch):
 
 def test_stop_settles_an_open_session_promptly(trained):
     gate = GateServer(trained, make_policy("linear"))
+    handled = opened_sessions(gate)
     gate.start()
     with socket.create_connection(gate.address, timeout=10) as sock:
         assert isinstance(exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW)), ChallengeMsg)
         started = time.monotonic()
         gate.stop()
         assert time.monotonic() - started < 1.0
-        assert verdict(gate.events[-1]) == (False, "abandoned")
+        assert verdict(handled[-1].event) == (False, "abandoned")
         assert sock.recv(1) == b""
 
 
@@ -886,6 +949,7 @@ def test_a_session_ends_one_expiry_after_its_accept(trained):
     # the SOLUTION's parts come 0.45 s apart, each within one expiry of the last; the
     # session still ends at its one deadline, not at a read's
     with GateServer(trained, make_policy("linear"), expiry_ms=500) as gate:
+        handled = opened_sessions(gate)
         started = time.monotonic()
         with socket.create_connection(gate.address, timeout=10) as sock:
             challenge = exchange(sock, Request("10.0.0.1", 500.0, LEGIT_FLOW))
@@ -893,5 +957,5 @@ def test_a_session_ends_one_expiry_after_its_accept(trained):
             trickle_until_closed(sock, parts, gap_s=0.45)
             closed_after = time.monotonic() - started
         assert 0.5 <= closed_after < 0.8
-        wait_for(lambda: gate.events[-1].admitted is not None)
-        assert verdict(gate.events[-1]) == (False, "expired")
+        wait_for(lambda: handled[-1].event.admitted is not None)
+        assert verdict(handled[-1].event) == (False, "expired")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import math
 import socket
 import threading
@@ -282,6 +283,42 @@ def test_simulation_difficulties_reproduce(scenario_file, tmp_path):
     run_simulation(scenario, tmp_path / "b")
     for name in ("events.csv", "report.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+PINNED_SCENARIO = """train_log: {log}
+policy: {policy}
+ip_attributes: {ip}
+duration_s: 1
+seed: 5
+
+[user 10.0.0.1]
+role: legitimate
+rate_rps: 3
+arrival: 490, 530
+
+[user 198.51.100.9]
+role: attacker
+rate_rps: 3
+arrival: 200, 260
+spoof: true
+"""
+
+
+def test_simulation_outputs_are_pinned(corpus, tmp_path):
+    # a seeded scenario's files are byte-identical from run to run and across interpreters;
+    # a change that means to move them updates these digests and says why
+    policy = tmp_path / "policy.kv"
+    policy.write_text("policy_kind: error_range\nrng_seed: 17\n")
+    path = tmp_path / "scenario.kv"
+    path.write_text(PINNED_SCENARIO.format(log=corpus["logs"][0], policy=policy, ip=corpus["ip"]))
+    result = run_simulation(load_scenario(path), tmp_path / "out")
+    assert {e.outcome.reason for e in result.events} == {None}  # every session admitted
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in ("events.csv", "report.csv")}
+    assert digests == {
+        "events.csv": "cfda90c84264efcdb5b3fde516c1da47e72f0bcae9fbf7233291d920a7163c29",
+        "report.csv": "03f5cf7d189fed46baea4e235198c50b6f12b5ee1074cfe985d0b595dbe68606",
+    }
 
 
 def test_simulation_starts_no_thread_and_opens_no_socket(replay_scenario_file, monkeypatch):

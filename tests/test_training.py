@@ -52,6 +52,15 @@ def test_no_malicious_rows_degrades_flow(tmp_path):
     assert any("flow model" in w for w in report.warnings)
 
 
+def test_identical_flows_disable_the_flow_model(tmp_path):
+    text = "user_id,timestamp,label,f1\nu1,10,legitimate,1\nu2,20,malicious,1\n"
+    bundle, report = train_bundle([write(tmp_path / "log.csv", text)])
+    assert bundle.flow is None
+    assert bundle.tam is not None
+    assert report.partial
+    assert any("flow model disabled: legitimate and malicious centroids coincide" in w for w in report.warnings)
+
+
 def test_no_legitimate_rows_degrades_tam_and_flow(tmp_path):
     text = "user_id,timestamp,label,f1\nu1,10,malicious,1\nu1,20,malicious,2\n"
     bundle, report = train_bundle([write(tmp_path / "log.csv", text)])
